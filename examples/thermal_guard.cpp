@@ -1,15 +1,17 @@
 // Thermal guard: closed-loop thermal management driven by the sensor
-// network.  A hot workload pushes the stack past its limit; the guard
-// throttles power when any *sensed* temperature crosses the trip point.
-// Runs the same scenario unguarded, guarded-by-PT-sensor, and guarded by a
+// network.  A hot workload pushes the stack past its limit; the guard gates
+// a die's power when that die's *sensed* temperature crosses the trip point
+// (the per-die gating policy, run through control::run_closed_loop).  Runs
+// the same scenario unguarded, guarded-by-PT-sensor, and guarded by a
 // deliberately miscalibrated monitor, to show what sensing accuracy buys.
 //
 //   $ ./examples/thermal_guard
+#include <algorithm>
 #include <iostream>
 
+#include "control/eval.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
-#include "sim/thermal_guard.hpp"
 #include "thermal/workload.hpp"
 
 namespace {
@@ -43,13 +45,19 @@ int main() {
   const thermal::Workload hot = thermal::Workload::burst_idle(
       stack, Watt{16.0}, Watt{1.0}, Second{60e-3}, 3);
 
-  sim::ThermalGuard::Config guard_cfg;
-  guard_cfg.throttle_on = Celsius{70.0};
-  guard_cfg.throttle_off = Celsius{62.0};
-  guard_cfg.throttle_factor = 0.25;
-  guard_cfg.sample_period = Second{2e-3};
-  guard_cfg.thermal_step = Second{0.5e-3};
-  const sim::ThermalGuard guard{guard_cfg};
+  // Gated, a die keeps 25 % of its power; no unscalable floor, so the
+  // command scales the die's whole map.
+  control::Controller::Config guard_cfg;
+  guard_cfg.kind = control::PolicyKind::kReactiveGating;
+  guard_cfg.policy.gate_on = Celsius{70.0};
+  guard_cfg.policy.gate_off = Celsius{62.0};
+  guard_cfg.policy.gate_power_scale = 0.25;
+  guard_cfg.plant = control::PlantModel{0.0};
+  guard_cfg.violation_ceiling = guard_cfg.policy.gate_on;
+  control::EvalConfig eval;
+  eval.sample_period = Second{2e-3};
+  eval.thermal_step = Second{0.5e-3};
+  eval.max_duration = Second{180e-3};
 
   struct Scenario {
     const char* name;
@@ -64,7 +72,7 @@ int main() {
        Volt{0.0}, false},
   };
 
-  std::cout << "trip point " << guard_cfg.throttle_on.value()
+  std::cout << "trip point " << guard_cfg.policy.gate_on.value()
             << " degC; peak power " << 16.0 << " W bursts\n\n";
   for (const Scenario& s : scenarios) {
     thermal::ThermalNetwork network{stack};
@@ -76,14 +84,39 @@ int main() {
       cfg.ro_mismatch_sigma = Volt{12e-3};  // ~ die-level scatter left in
     }
     core::StackMonitor monitor{&network, cfg, sites, 21};
-    const auto result =
-        guard.run(network, hot, monitor, Second{180e-3}, 33, s.enabled);
+    control::Controller::Config controller_cfg = guard_cfg;
+    if (!s.enabled) {
+      controller_cfg.kind = control::PolicyKind::kStaticWorstCase;
+      controller_cfg.policy.static_level = 0;  // flat out, never throttled
+    }
+    control::Controller controller{controller_cfg, stack.die_count()};
+    double max_sensed = -273.15;
+    std::size_t scans = 0;
+    std::size_t gated_scans = 0;
+    std::size_t trips = 0;
+    bool was_gated = false;
+    eval.on_scan = [&](std::uint64_t,
+                       const std::vector<core::StackMonitor::SiteReading>& rs,
+                       const control::Actuation& act) {
+      for (const auto& r : rs) {
+        max_sensed = std::max(max_sensed, r.sensed.value());
+      }
+      // Die 0 carries the bursts; its trip is the one that matters.
+      ++scans;
+      if (act.dies[0].gated) ++gated_scans;
+      if (act.dies[0].gated && !was_gated) ++trips;
+      was_gated = act.dies[0].gated;
+    };
+    const control::EvalResult result =
+        control::run_closed_loop(network, hot, monitor, controller, eval, 33);
     std::cout << s.name << ":\n"
-              << "  max true " << result.max_true.value() << " degC, max sensed "
-              << result.max_sensed.value() << " degC\n"
-              << "  over-limit integral " << result.overshoot_integral
-              << " degC*s, throttled " << 100.0 * result.throttled_fraction
-              << "% of samples (" << result.throttle_events << " trip events)\n\n";
+              << "  max true " << result.stats.peak_true_c
+              << " degC, max sensed " << max_sensed << " degC\n"
+              << "  time over the trip point "
+              << result.stats.violation_s * 1e3 << " ms, die 0 gated "
+              << 100.0 * static_cast<double>(gated_scans) /
+                     static_cast<double>(scans)
+              << "% of scans (" << trips << " trip events)\n\n";
   }
 
   std::cout << "Takeaway: the guard only works as well as its sensors — the\n"

@@ -1,9 +1,9 @@
 #include "control/eval.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
+#include "control/stack_loop.hpp"
 #include "core/pt_sensor.hpp"
 #include "ptsim/rng.hpp"
 
@@ -20,15 +20,6 @@ void set_site_dead(core::StackMonitor& monitor, std::size_t site, bool dead) {
   } else {
     monitor.sensor(site).clear_faults();
   }
-}
-
-Celsius stack_max_true(const thermal::ThermalNetwork& network) {
-  Celsius hottest{-273.15};
-  for (std::size_t d = 0; d < network.config().die_count(); ++d) {
-    const Celsius t = to_celsius(network.max_temperature(d));
-    if (t > hottest) hottest = t;
-  }
-  return hottest;
 }
 
 }  // namespace
@@ -53,20 +44,24 @@ EvalResult run_closed_loop(thermal::ThermalNetwork& network,
 
   Rng noise{noise_seed};
   controller.reset();
-
-  // Power-on: program the uncontrolled map, pick the start state, calibrate.
-  workload.apply(network, Second{0.0});
-  if (config.start_at_steady_state) {
-    network.set_temperatures(network.steady_state());
-  } else {
-    network.set_uniform_temperature(network.config().ambient);
-  }
-  monitor.calibrate_all(&noise);
-
   std::unique_ptr<core::HealthSupervisor> supervisor;
   if (config.supervise) {
     supervisor = std::make_unique<core::HealthSupervisor>(config.health);
   }
+  StackLoop loop{network, workload, monitor, noise, supervisor.get(),
+                 &controller};
+  // Power-on: program the uncontrolled map, pick the start state, calibrate.
+  loop.power_on(config.start_at_steady_state);
+
+  // Checked after every thermal substep.  The controller's running peak
+  // crosses the abort limit exactly when the substep just taken did.
+  const auto runaway = [&] {
+    return controller.stats().peak_true_c > config.abort_above.value();
+  };
+  const std::function<bool()> stop = [&] {
+    return runaway() || (config.work_budget > 0.0 &&
+                         controller.stats().work_done >= config.work_budget);
+  };
 
   EvalResult result;
   Second t{0.0};
@@ -77,68 +72,20 @@ EvalResult run_closed_loop(thermal::ThermalNetwork& network,
       if (scan == o.end_scan) set_site_dead(monitor, o.site, false);
     }
 
-    std::vector<core::StackMonitor::SiteReading> readings;
-    if (supervisor != nullptr) {
-      // The FleetSampler's skip-quarantined path: sites the supervisor has
-      // pulled from duty are never converted; their slots carry degraded
-      // placeholders the supervisor substitutes.
-      const std::size_t sites = monitor.site_count();
-      std::vector<bool> sampled(sites, true);
-      readings.reserve(sites);
-      for (std::size_t i = 0; i < sites; ++i) {
-        if (supervisor->wants_sample(i)) {
-          readings.push_back(monitor.sample_site(i, &noise));
-        } else {
-          sampled[i] = false;
-          core::StackMonitor::SiteReading placeholder;
-          placeholder.site_index = i;
-          placeholder.die = monitor.site(i).die;
-          placeholder.location = monitor.site(i).location;
-          placeholder.truth = monitor.truth_at(i);
-          placeholder.degraded = true;
-          readings.push_back(placeholder);
-        }
-      }
-      auto observed = supervisor->observe(readings, sampled);
-      for (const std::size_t i : observed.recalibrate) {
-        monitor.sensor(i).clear_calibration();
-      }
-      readings = std::move(observed.readings);
-    } else {
-      readings = monitor.sample_all(&noise);
-    }
-
-    controller.on_scan(scan, t, readings);
+    std::vector<core::StackMonitor::SiteReading> readings =
+        loop.sample_scan();
+    loop.settle(scan, t, readings);
     if (config.on_scan) config.on_scan(scan, readings, controller.actuation());
     ++scan;
 
-    Second advanced{0.0};
-    while (advanced < config.sample_period) {
-      const Second h = std::min(config.thermal_step,
-                                config.sample_period - advanced);
-      if (h.value() <= 0.0) break;  // float residue; the period is covered
-      apply_actuation(workload, network, t + advanced,
-                      controller.actuation(), controller.config().plant);
-      network.step(h);
-      const Celsius max_true = stack_max_true(network);
-      controller.note_tick(
-          h, max_true,
-          Watt{network.total_power().value() +
-               network.leakage_power().value()});
-      advanced += h;
-      if (max_true > config.abort_above) {
-        result.runaway = true;
-        result.duration = t + advanced;
-        result.stats = controller.stats();
-        return result;
-      }
-      if (config.work_budget > 0.0 &&
-          controller.stats().work_done >= config.work_budget) {
-        result.completed = true;
-        result.duration = t + advanced;
-        result.stats = controller.stats();
-        return result;
-      }
+    const Second advanced =
+        loop.advance(t, config.sample_period, config.thermal_step, stop);
+    if (stop()) {
+      result.runaway = runaway();
+      result.completed = !result.runaway;
+      result.duration = t + advanced;
+      result.stats = controller.stats();
+      return result;
     }
     t += config.sample_period;
     if (t >= config.max_duration) break;

@@ -1,5 +1,6 @@
-// Single-stack closed-loop evaluation: the policy harness behind
-// bench_a20, the closed_loop_dtm example and the Control* loop tests.
+// Single-stack closed-loop evaluation: the policy harness behind bench_a20,
+// bench_a6, bench_a11, the closed_loop_dtm and thermal_guard examples and
+// the Control* loop tests.
 //
 // Runs one stack controller-in-the-loop with a fixed *work budget* rather
 // than a fixed duration: the run ends when the dies have accrued the budget
@@ -8,11 +9,12 @@
 // harder takes longer to finish the same work and keeps paying the plant's
 // unscalable power floor and leakage the whole time (race-to-idle).
 //
-// Sensor-loss scenarios inject dead-RO windows per site; with supervision
-// enabled the harness mirrors the FleetSampler's skip-quarantined sampling
-// path exactly: a site the HealthSupervisor has pulled from duty is never
-// converted, so the controller's blind-die fallback — not a stale or
-// fabricated reading — is what keeps the stack safe.
+// Each scan is one control::StackLoop round, the same loop the
+// FleetSampler's workers run, here ordered sample -> supervise -> decide ->
+// on_scan -> advance.  Sensor-loss scenarios inject dead-RO windows per
+// site; with supervision enabled a site the HealthSupervisor has pulled
+// from duty is never converted, so the controller's blind-die fallback —
+// not a stale or fabricated reading — is what keeps the stack safe.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,7 @@
-// Shared DVFS-ladder and hysteresis primitives for thermal control.
-//
-// Every thermal actuator in the repo used to carry its own copy of the same
-// two ideas: a ladder of (frequency, power) operating points walked one rung
-// at a time (sim::DvfsGovernor, bench_a11), and a two-threshold hysteretic
-// trip (sim::ThermalGuard).  This header is the single home for both; the
-// control policies, the sim-layer governors and the benches all consume it.
+// Shared DVFS-ladder and hysteresis primitives for thermal control: a
+// ladder of (frequency, power) operating points walked one rung at a time
+// (the dvfs and migration policies), and a two-threshold hysteretic trip
+// (the gating policy).
 #pragma once
 
 #include <cstddef>

@@ -7,12 +7,11 @@
 //              baseline every sensing policy must beat: always safe, never
 //              efficient (it pays the unscalable power floor for the whole
 //              stretched-out run).
-//   dvfs       per-die ladder governor with hysteresis — the generalized
-//              form of the bench_a11 / sim::DvfsGovernor walk, one stepper
-//              per die.
+//   dvfs       per-die ladder governor with hysteresis, one stepper per
+//              die (bench_a11).
 //   gating     reactive clock/power gating: a hysteretic trip per die cuts
 //              the die to a gate fraction on over-temp, releases below the
-//              floor.  Blunt but fast.
+//              floor.  Blunt but fast (bench_a6, examples/thermal_guard).
 //   migration  inter-die task migration: a dvfs backstop plus a persistent
 //              set of power moves from the hottest die toward the coolest,
 //              grown/retracted one step at a time under a cooldown so two

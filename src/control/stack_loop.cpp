@@ -1,0 +1,105 @@
+#include "control/stack_loop.hpp"
+
+#include <algorithm>
+#include <utility>
+
+namespace tsvpt::control {
+
+StackLoop::StackLoop(thermal::ThermalNetwork& network,
+                     const thermal::Workload& workload,
+                     core::StackMonitor& monitor, Rng& noise,
+                     core::HealthSupervisor* supervisor,
+                     Controller* controller)
+    : network_(&network),
+      workload_(&workload),
+      monitor_(&monitor),
+      noise_(&noise),
+      supervisor_(supervisor),
+      controller_(controller) {}
+
+void StackLoop::power_on(bool steady_state) {
+  workload_->apply(*network_, Second{0.0});
+  if (steady_state) {
+    network_->set_temperatures(network_->steady_state());
+  } else {
+    network_->set_uniform_temperature(network_->config().ambient);
+  }
+  monitor_->calibrate_all(noise_);
+}
+
+void StackLoop::substep(Second t, Second h) {
+  if (controller_ == nullptr) {
+    workload_->apply(*network_, t);
+    network_->step(h);
+    return;
+  }
+  apply_actuation(*workload_, *network_, t, controller_->actuation(),
+                  controller_->config().plant);
+  network_->step(h);
+  Celsius hottest{-273.15};
+  for (std::size_t d = 0; d < network_->config().die_count(); ++d) {
+    const Celsius temp = to_celsius(network_->max_temperature(d));
+    if (temp > hottest) hottest = temp;
+  }
+  controller_->note_tick(h, hottest,
+                         Watt{network_->total_power().value() +
+                              network_->leakage_power().value()});
+}
+
+Second StackLoop::advance(Second now, Second period, Second step,
+                          const std::function<bool()>& stop) {
+  Second advanced{0.0};
+  while (advanced < period) {
+    const Second h = std::min(step, period - advanced);
+    if (h.value() <= 0.0) break;  // float residue; the period is covered
+    substep(now + advanced, h);
+    advanced += h;
+    if (stop && stop()) break;
+  }
+  return advanced;
+}
+
+std::vector<core::StackMonitor::SiteReading> StackLoop::sample_scan() {
+  if (supervisor_ == nullptr) return monitor_->sample_all(noise_);
+  const std::size_t sites = monitor_->site_count();
+  sampled_.assign(sites, true);
+  std::vector<core::StackMonitor::SiteReading> readings;
+  readings.reserve(sites);
+  for (std::size_t i = 0; i < sites; ++i) {
+    if (supervisor_->wants_sample(i)) {
+      readings.push_back(monitor_->sample_site(i, noise_));
+      continue;
+    }
+    sampled_[i] = false;
+    core::StackMonitor::SiteReading placeholder;
+    placeholder.site_index = i;
+    placeholder.die = monitor_->site(i).die;
+    placeholder.location = monitor_->site(i).location;
+    placeholder.truth = monitor_->truth_at(i);
+    placeholder.degraded = true;  // no conversion behind it
+    readings.push_back(placeholder);
+  }
+  return readings;
+}
+
+void StackLoop::settle(std::uint64_t scan, Second now,
+                       std::vector<core::StackMonitor::SiteReading>& readings) {
+  if (supervisor_ != nullptr) {
+    core::HealthSupervisor::ScanResult result =
+        supervisor_->observe(readings, sampled_);
+    for (const std::size_t i : result.recalibrate) {
+      // Forced recalibration on recovery: drop the latched process point;
+      // the next conversion self-calibrates afresh.
+      monitor_->sensor(i).clear_calibration();
+    }
+    for (auto& t : result.transitions) transitions_.push_back(std::move(t));
+    readings = std::move(result.readings);
+  }
+  if (controller_ != nullptr) {
+    // Post-supervision readings: substituted quarantine placeholders arrive
+    // flagged degraded, so no policy can actuate on a dead sensor.
+    controller_->on_scan(scan, now, readings);
+  }
+}
+
+}  // namespace tsvpt::control

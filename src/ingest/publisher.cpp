@@ -432,9 +432,9 @@ bool FleetPublisher::send_batch(Batch& batch) {
   // current clock-offset estimate for server-side re-basing.  Before the
   // hook, so chaos corruption of the header is not CRC-healed.
   const std::uint64_t send_ns = obs::monotonic_ns();
-  // False means a v2 spill replay (no timestamp fields): it still goes out,
-  // but its header carries no fresh send stamp, so the seal-to-wire latency
-  // observation below would be fiction.
+  // False means the bytes carry no batch header to stamp: they still go
+  // out (the server will refuse them), but without a fresh send stamp the
+  // seal-to-wire latency observation below would be fiction.
   const bool restamped = net::restamp_batch_send(
       batch.bytes, send_ns, clock_align_.offset_ns(), clock_align_.valid());
   if (restamped && !batch.sent_before && batch.seal_ns != 0 &&

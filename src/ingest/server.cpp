@@ -210,7 +210,7 @@ bool IngestServer::handle_batch_info(Connection& conn,
   Peer& peer = it->second;
   conn.ack_pending = true;
 
-  // Timestamped (v3 data) batch: capture the NTP echo pair for the next
+  // Timestamped data batch: capture the NTP echo pair for the next
   // ack, stage the publisher's clock offset for route_frame's trailer, and
   // attribute the wire leg when the offset lets us compare clocks.
   if (info.send_ns != 0) {
@@ -230,7 +230,7 @@ bool IngestServer::handle_batch_info(Connection& conn,
       }
     }
   } else {
-    // v2 replay or control batch: no send stamp, so no offset context.
+    // Control batch (heartbeat, FIN): no send stamp, so no offset context.
     cur_offset_valid_ = false;
   }
 

@@ -93,12 +93,6 @@ bool restamp_batch_send(std::vector<std::uint8_t>& bytes,
                         bool offset_valid) {
   if (bytes.size() < kBatchHeaderSize) return false;
   if (telemetry::get_u32(bytes.data()) != kBatchMagic) return false;
-  // Spill logs written by a v2 build replay with their original 36-byte
-  // headers — no timestamp fields to poke.
-  if (telemetry::get_u16(bytes.data() + kBatchVersionOffset) !=
-      kBatchVersion) {
-    return false;
-  }
   std::uint16_t flags = telemetry::get_u16(bytes.data() + kBatchFlagsOffset);
   if (offset_valid) {
     flags |= kBatchFlagOffsetValid;
@@ -122,7 +116,8 @@ BatchStatus BatchParser::consume(const std::uint8_t* data, std::size_t size,
 
   for (;;) {
     const std::size_t available = buffer_.size() - pos_;
-    // Magic + version first (6 bytes) — the version picks the header size.
+    // Magic + version first: a foreign stream is rejected before a whole
+    // header has to arrive.
     if (available < 8) break;
     const std::uint8_t* head = buffer_.data() + pos_;
 
@@ -130,31 +125,23 @@ BatchStatus BatchParser::consume(const std::uint8_t* data, std::size_t size,
       status_ = BatchStatus::kBadMagic;
       return status_;
     }
-    const std::uint16_t version = telemetry::get_u16(head + kBatchVersionOffset);
-    if (version != kBatchVersion && version != kBatchVersionV2) {
+    if (telemetry::get_u16(head + kBatchVersionOffset) != kBatchVersion) {
       status_ = BatchStatus::kBadVersion;
       return status_;
     }
-    const std::size_t header_size =
-        version == kBatchVersionV2 ? kBatchHeaderSizeV2 : kBatchHeaderSize;
-    const std::size_t crc_coverage =
-        version == kBatchVersionV2 ? kBatchV2CrcCoverage : kBatchCrcCoverage;
-    if (available < header_size) break;
+    if (available < kBatchHeaderSize) break;
     BatchInfo info;
-    info.version = version;
     info.flags = telemetry::get_u16(head + kBatchFlagsOffset);
     info.publisher_id = telemetry::get_u64(head + kBatchPublisherIdOffset);
     info.seq = telemetry::get_u64(head + kBatchSeqOffset);
     info.frame_count = telemetry::get_u32(head + kBatchFrameCountOffset);
     info.payload_bytes = telemetry::get_u32(head + kBatchPayloadBytesOffset);
-    if (version == kBatchVersion) {
-      info.trace_id = telemetry::get_u64(head + kBatchTraceIdOffset);
-      info.send_ns = telemetry::get_u64(head + kBatchSendNsOffset);
-      info.offset_ns = static_cast<std::int64_t>(
-          telemetry::get_u64(head + kBatchOffsetNsOffset));
-    }
-    if (telemetry::get_u32(head + crc_coverage) !=
-        telemetry::crc32(head, crc_coverage)) {
+    info.trace_id = telemetry::get_u64(head + kBatchTraceIdOffset);
+    info.send_ns = telemetry::get_u64(head + kBatchSendNsOffset);
+    info.offset_ns = static_cast<std::int64_t>(
+        telemetry::get_u64(head + kBatchOffsetNsOffset));
+    if (telemetry::get_u32(head + kBatchHeaderCrcOffset) !=
+        telemetry::crc32(head, kBatchCrcCoverage)) {
       status_ = BatchStatus::kBadHeaderCrc;
       return status_;
     }
@@ -163,11 +150,11 @@ BatchStatus BatchParser::consume(const std::uint8_t* data, std::size_t size,
       status_ = BatchStatus::kOversized;
       return status_;
     }
-    if (available < header_size + info.payload_bytes) break;  // partial
+    if (available < kBatchHeaderSize + info.payload_bytes) break;  // partial
 
     // Validate every inner length before emitting anything, so a batch whose
     // lengths disagree with payload_bytes emits zero frames.
-    const std::uint8_t* payload = head + header_size;
+    const std::uint8_t* payload = head + kBatchHeaderSize;
     std::size_t cursor = 0;
     for (std::uint32_t i = 0; i < info.frame_count; ++i) {
       if (info.payload_bytes - cursor < 4) {
@@ -204,9 +191,9 @@ BatchStatus BatchParser::consume(const std::uint8_t* data, std::size_t size,
       frames_skipped_ += info.frame_count;
     }
 
-    pos_ += header_size + info.payload_bytes;
+    pos_ += kBatchHeaderSize + info.payload_bytes;
     batches_ += 1;
-    bytes_ += header_size + info.payload_bytes;
+    bytes_ += kBatchHeaderSize + info.payload_bytes;
   }
 
   if (pos_ == buffer_.size()) {
@@ -255,18 +242,13 @@ AckStatus AckParser::consume(const std::uint8_t* data, std::size_t size,
       status_ = AckStatus::kBadMagic;
       return status_;
     }
-    const std::uint16_t version = telemetry::get_u16(head + kAckVersionOffset);
-    if (version != kAckVersion && version != kAckVersionV1) {
+    if (telemetry::get_u16(head + kAckVersionOffset) != kAckVersion) {
       status_ = AckStatus::kBadVersion;
       return status_;
     }
-    const std::size_t frame_size =
-        version == kAckVersionV1 ? kAckFrameSizeV1 : kAckFrameSize;
-    const std::size_t crc_coverage =
-        version == kAckVersionV1 ? kAckV1CrcCoverage : kAckCrcCoverage;
-    if (buffer_.size() - pos_ < frame_size) break;
-    if (telemetry::get_u32(head + crc_coverage) !=
-        telemetry::crc32(head, crc_coverage)) {
+    if (buffer_.size() - pos_ < kAckFrameSize) break;
+    if (telemetry::get_u32(head + kAckCrcOffset) !=
+        telemetry::crc32(head, kAckCrcCoverage)) {
       status_ = AckStatus::kBadCrc;
       return status_;
     }
@@ -274,12 +256,10 @@ AckStatus AckParser::consume(const std::uint8_t* data, std::size_t size,
     ack.flags = telemetry::get_u16(head + kAckFlagsOffset);
     ack.ack_seq = telemetry::get_u64(head + kAckSeqOffset);
     ack.nack = telemetry::get_u32(head + kAckNackOffset);
-    if (version == kAckVersion) {
-      ack.echo_send_ns = telemetry::get_u64(head + kAckEchoSendNsOffset);
-      ack.srv_rx_ns = telemetry::get_u64(head + kAckSrvRxNsOffset);
-      ack.srv_tx_ns = telemetry::get_u64(head + kAckSrvTxNsOffset);
-    }
-    pos_ += frame_size;
+    ack.echo_send_ns = telemetry::get_u64(head + kAckEchoSendNsOffset);
+    ack.srv_rx_ns = telemetry::get_u64(head + kAckSrvRxNsOffset);
+    ack.srv_tx_ns = telemetry::get_u64(head + kAckSrvTxNsOffset);
+    pos_ += kAckFrameSize;
     acks_ += 1;
     on_ack(ack);
   }

@@ -17,8 +17,9 @@
 // publisher allocated, so the server can report "drained" once its
 // cumulative ack reaches it).
 //
-// Protocol v3 adds the trace-context fields (v2 is still parsed — spill logs
-// written by a v2 build replay fine): `trace_id` names this batch in both
+// Protocol v3 adds the trace-context fields, and is the only version this
+// build speaks (any other version poisons the parser with kBadVersion):
+// `trace_id` names this batch in both
 // processes' flight recorders so a TraceMerge can pair the publisher's send
 // span with the server's receive span; `send_ns` is the publisher's steady
 // clock at the moment of the socket write (re-stamped on every send attempt
@@ -69,11 +70,7 @@ namespace tsvpt::net {
 
 inline constexpr std::uint32_t kBatchMagic = 0x42565354u;  // "TSVB" LE
 inline constexpr std::uint16_t kBatchVersion = 3;
-/// Previous protocol version, still accepted by BatchParser (spill logs and
-/// mixed-version fleets).
-inline constexpr std::uint16_t kBatchVersionV2 = 2;
 inline constexpr std::size_t kBatchHeaderSize = 60;
-inline constexpr std::size_t kBatchHeaderSizeV2 = 36;
 
 // Byte-level batch header maps.  The `layout:` / `field:` comments are
 // wire-layout lint directives: tsvpt_lint cross-checks that each header's
@@ -95,20 +92,6 @@ inline constexpr std::size_t kBatchOffsetNsOffset = 48;      // field: offset_ns
 inline constexpr std::size_t kBatchHeaderCrcOffset = 56;     // field: header_crc size=4
 /// Bytes the v3 header CRC covers (everything before the CRC field).
 inline constexpr std::size_t kBatchCrcCoverage = 56;
-
-// The v2 header is the v3 prefix without the trace/timestamp trio; spill
-// logs written by a v2 build still replay through BatchParser.
-// layout: tsvb_v2 size=36 crc=[0,32)
-inline constexpr std::size_t kBatchV2MagicOffset = 0;          // field: magic size=4
-inline constexpr std::size_t kBatchV2VersionOffset = 4;        // field: version size=2
-inline constexpr std::size_t kBatchV2FlagsOffset = 6;          // field: flags size=2
-inline constexpr std::size_t kBatchV2PublisherIdOffset = 8;    // field: publisher_id size=8
-inline constexpr std::size_t kBatchV2SeqOffset = 16;           // field: batch_seq size=8
-inline constexpr std::size_t kBatchV2FrameCountOffset = 24;    // field: frame_count size=4
-inline constexpr std::size_t kBatchV2PayloadBytesOffset = 28;  // field: payload_bytes size=4
-inline constexpr std::size_t kBatchV2HeaderCrcOffset = 32;     // field: header_crc size=4
-/// Bytes the v2 header CRC covers.
-inline constexpr std::size_t kBatchV2CrcCoverage = 32;
 /// Upper bounds a well-formed batch may claim; anything larger is treated as
 /// stream corruption rather than trusted as an allocation size.
 inline constexpr std::uint32_t kMaxBatchPayload = 64u << 20;
@@ -152,9 +135,8 @@ struct BatchMeta {
 /// Re-stamp a previously encoded batch's send timestamp and clock offset in
 /// place (header CRC recomputed) — called immediately before every send
 /// attempt so retransmits carry fresh timestamps.  `offset_valid` sets or
-/// clears kBatchFlagOffsetValid.  v2 batches (replayed spill logs) have no
-/// timestamp fields and pass through untouched; returns whether the batch
-/// was restamped.
+/// clears kBatchFlagOffsetValid.  Returns false, leaving the bytes
+/// untouched, when they are too short or do not start with the batch magic.
 [[nodiscard]] bool restamp_batch_send(std::vector<std::uint8_t>& bytes,
                                       std::uint64_t send_ns,
                                       std::int64_t offset_ns,
@@ -179,9 +161,7 @@ struct BatchInfo {
   std::uint16_t flags = 0;
   std::uint32_t frame_count = 0;
   std::uint32_t payload_bytes = 0;
-  /// Wire protocol version this batch arrived as (2 or 3).
-  std::uint16_t version = kBatchVersion;
-  /// v3 trace-context fields; all zero on a v2 batch.
+  /// Trace-context fields.
   std::uint64_t trace_id = 0;
   std::uint64_t send_ns = 0;
   std::int64_t offset_ns = 0;
@@ -247,10 +227,7 @@ class BatchParser {
 
 inline constexpr std::uint32_t kAckMagic = 0x41565354u;  // "TSVA" LE
 inline constexpr std::uint16_t kAckVersion = 2;
-/// Previous ack version, still accepted by AckParser.
-inline constexpr std::uint16_t kAckVersionV1 = 1;
 inline constexpr std::size_t kAckFrameSize = 48;
-inline constexpr std::size_t kAckFrameSizeV1 = 24;
 
 // layout: tsva_v2 size=48 crc=[0,44)
 inline constexpr std::size_t kAckMagicOffset = 0;        // field: magic size=4
@@ -265,24 +242,13 @@ inline constexpr std::size_t kAckCrcOffset = 44;         // field: crc size=4
 /// Bytes the v2 ack CRC covers.
 inline constexpr std::size_t kAckCrcCoverage = 44;
 
-// The v1 ack is the same prefix without the NTP timestamp trio.
-// layout: tsva_v1 size=24 crc=[0,20)
-inline constexpr std::size_t kAckV1MagicOffset = 0;    // field: magic size=4
-inline constexpr std::size_t kAckV1VersionOffset = 4;  // field: version size=2
-inline constexpr std::size_t kAckV1FlagsOffset = 6;    // field: flags size=2
-inline constexpr std::size_t kAckV1SeqOffset = 8;      // field: ack_seq size=8
-inline constexpr std::size_t kAckV1NackOffset = 16;    // field: nack size=4
-inline constexpr std::size_t kAckV1CrcOffset = 20;     // field: crc size=4
-/// Bytes the v1 ack CRC covers.
-inline constexpr std::size_t kAckV1CrcCoverage = 20;
-
 /// The nack field carries a BatchStatus and the connection is being closed.
 inline constexpr std::uint16_t kAckFlagNack = 1u << 0;
 /// The publisher's FIN seq is covered by ack_seq: it may close cleanly.
 inline constexpr std::uint16_t kAckFlagDrained = 1u << 1;
 
-/// One fixed-size ack frame (v2, 48 bytes; the 24-byte v1 without the
-/// timestamp trio is still parsed):
+/// One fixed-size ack frame (v2, 48 bytes; any other version poisons the
+/// AckParser with kBadVersion):
 ///   [magic u32 "TSVA"] [version u16 = 2] [flags u16]
 ///   [ack_seq u64] [nack u32]
 ///   [echo_send_ns u64] [srv_rx_ns u64] [srv_tx_ns u64]
@@ -300,7 +266,7 @@ struct AckFrame {
   /// BatchStatus (as u32) when kAckFlagNack is set; 0 otherwise.
   std::uint32_t nack = 0;
   /// send_ns of the most recent batch this ack covers, echoed verbatim
-  /// (0 = no timestamped batch seen, e.g. v2 traffic or v1 ack).
+  /// (0 = no timestamped batch seen yet).
   std::uint64_t echo_send_ns = 0;
   /// Server steady clock when that batch was parsed, ns.
   std::uint64_t srv_rx_ns = 0;

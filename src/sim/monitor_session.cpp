@@ -1,6 +1,10 @@
 #include "sim/monitor_session.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <utility>
+
+#include "control/stack_loop.hpp"
 
 namespace tsvpt::sim {
 
@@ -21,88 +25,40 @@ MonitoringSession::MonitoringSession(thermal::ThermalNetwork* network,
 
 void MonitoringSession::run(Second duration) {
   trace_.clear();
-
-  // Initial thermal state.
-  workload_->apply(*network_, Second{0.0});
-  if (config_.start_at_steady_state) {
-    network_->set_temperatures(network_->steady_state());
-  } else {
-    network_->set_uniform_temperature(network_->config().ambient);
-  }
-
-  // Power-on self-calibration against the initial state.
-  monitor_->calibrate_all(&noise_);
-
   control::Controller* controller = config_.controller;
   if (controller != nullptr) controller->reset();
-  const std::size_t die_count = network_->config().die_count();
+  control::StackLoop loop{*network_, *workload_, *monitor_, noise_,
+                          /*supervisor=*/nullptr, controller};
+  loop.power_on(config_.start_at_steady_state);
 
-  // Program the power map for time `when`: the raw workload open-loop, the
-  // controller's held actuation on top of it closed-loop.
-  const auto program = [&](Second when) {
-    if (controller != nullptr) {
-      control::apply_actuation(*workload_, *network_, when,
-                               controller->actuation(),
-                               controller->config().plant);
-    } else {
-      workload_->apply(*network_, when);
-    }
-  };
-  const auto account = [&](Second dt) {
-    if (controller == nullptr) return;
-    Celsius hottest{-273.15};
-    for (std::size_t d = 0; d < die_count; ++d) {
-      const Celsius t = to_celsius(network_->max_temperature(d));
-      if (t > hottest) hottest = t;
-    }
-    controller->note_tick(dt, hottest,
-                          Watt{network_->total_power().value() +
-                               network_->leakage_power().value()});
-  };
-
-  Simulator sim;
-
-  // Thermal advancement event: re-program the active power map, then
-  // integrate one step.
-  const Second h = config_.thermal_step;
-  std::function<void(Simulator&)> thermal_tick = [&](Simulator& s) {
-    program(s.now());
-    network_->step(h);
-    account(h);
-    if (s.now() + h <= duration) s.schedule_after(h, thermal_tick);
-  };
-  sim.schedule_at(Second{0.0}, thermal_tick);
-
-  // Sampling event.  With a TDM slot, the stack keeps evolving between the
-  // individual site conversions of one scan.
-  std::uint64_t scan = 0;
-  std::function<void(Simulator&)> sample_tick = [&](Simulator& s) {
+  // A whole number of scans: the epsilon absorbs the float residue of a
+  // duration that is an exact multiple of the period (120e-3 / 1e-3 is
+  // 119.99999999999999).
+  const auto scans = static_cast<std::uint64_t>(
+      std::floor(duration.value() / config_.sample_period.value() + 1e-9));
+  Second now{0.0};
+  for (std::uint64_t scan = 0; scan < scans; ++scan) {
+    loop.advance(now, config_.sample_period, config_.thermal_step);
+    now += config_.sample_period;
     SamplePoint point;
-    point.time = s.now();
+    point.time = now;
     if (config_.readout_slot.value() <= 0.0) {
-      point.readings = monitor_->sample_all(&noise_);
+      point.readings = loop.sample_scan();
     } else {
+      // Serialized readout: the stack keeps evolving between the
+      // individual site conversions of one scan.
       point.readings.reserve(monitor_->site_count());
       for (std::size_t i = 0; i < monitor_->site_count(); ++i) {
         point.readings.push_back(monitor_->sample_site(i, &noise_));
         if (i + 1 < monitor_->site_count()) {
-          program(s.now() + config_.readout_slot * static_cast<double>(i));
-          network_->step(config_.readout_slot);
-          account(config_.readout_slot);
+          loop.substep(now + config_.readout_slot * static_cast<double>(i),
+                       config_.readout_slot);
         }
       }
     }
-    if (controller != nullptr) {
-      controller->on_scan(scan, s.now(), point.readings);
-    }
-    ++scan;
+    loop.settle(scan, now, point.readings);
     trace_.push_back(std::move(point));
-    const Second next = s.now() + config_.sample_period;
-    if (next <= duration) s.schedule_after(config_.sample_period, sample_tick);
-  };
-  sim.schedule_at(config_.sample_period, sample_tick);
-
-  sim.run_until(duration);
+  }
 }
 
 Samples MonitoringSession::error_samples() const {

@@ -1,6 +1,8 @@
 // Plays a workload against the thermal simulator while the sensor network
 // samples on a fixed period — producing the sensed-vs-true tracking traces
-// of the stack experiments (F5) and the examples.
+// of the stack experiments (F5) and the examples.  Each scan is one
+// control::StackLoop round: advance one sample period, then sample (and
+// decide, when a controller is attached).
 #pragma once
 
 #include <cstdint>
@@ -8,9 +10,9 @@
 
 #include "control/controller.hpp"
 #include "core/stack_monitor.hpp"
+#include "ptsim/rng.hpp"
 #include "ptsim/stats.hpp"
 #include "ptsim/units.hpp"
-#include "sim/event_queue.hpp"
 #include "thermal/workload.hpp"
 
 namespace tsvpt::sim {
@@ -53,7 +55,9 @@ class MonitoringSession {
                     core::StackMonitor* monitor, Config config,
                     std::uint64_t noise_seed);
 
-  /// Initialize the thermal state, run power-on calibration, then simulate.
+  /// Initialize the thermal state, run power-on calibration, then scan at
+  /// t = k * sample_period for k = 1 .. duration / sample_period (rounded
+  /// down), each scan after advancing the stack to its instant.
   void run(Second duration);
 
   [[nodiscard]] const std::vector<SamplePoint>& trace() const {

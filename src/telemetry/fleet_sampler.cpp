@@ -1,9 +1,9 @@
 #include "telemetry/fleet_sampler.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 
+#include "control/stack_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stages.hpp"
 #include "obs/trace.hpp"
@@ -55,20 +55,27 @@ struct FleetSampler::Stack {
   thermal::Workload workload;
   core::StackMonitor monitor;
   Rng noise;
-  Second now{0.0};
-  std::uint64_t sequence = 0;
   /// Present only when Config::supervise — owned by this stack's worker.
   std::unique_ptr<core::HealthSupervisor> supervisor;
-  std::vector<core::HealthSupervisor::Transition> transitions;
+  control::StackLoop loop;
+  Second now{0.0};
+  std::uint64_t sequence = 0;
 
   Stack(thermal::StackConfig geom, thermal::Workload load,
         std::vector<core::SensorSite> sites,
-        const core::PtSensor::Config& sensor, std::uint64_t seed)
+        const core::PtSensor::Config& sensor, std::uint64_t seed,
+        const core::HealthSupervisor::Config* health,
+        control::Controller* controller)
       : geometry(std::move(geom)),
         network(geometry),
         workload(std::move(load)),
         monitor(&network, sensor, std::move(sites), derive_seed(seed, 1)),
-        noise(derive_seed(seed, 2)) {}
+        noise(derive_seed(seed, 2)),
+        supervisor(health != nullptr
+                       ? std::make_unique<core::HealthSupervisor>(*health)
+                       : nullptr),
+        loop(network, workload, monitor, noise, supervisor.get(),
+             controller) {}
 };
 
 FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
@@ -123,11 +130,10 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
     }
     stacks_.push_back(std::make_unique<Stack>(
         std::move(geometry), std::move(workload), std::move(sites),
-        config_.sensor, stack_seed));
-    if (config_.supervise) {
-      stacks_.back()->supervisor =
-          std::make_unique<core::HealthSupervisor>(config_.health);
-    }
+        config_.sensor, stack_seed,
+        config_.supervise ? &config_.health : nullptr,
+        config_.control != nullptr ? &config_.control->controller(k)
+                                   : nullptr));
   }
   if (config_.control != nullptr &&
       config_.control->die_count() != stacks_.front()->geometry.die_count()) {
@@ -161,10 +167,7 @@ void FleetSampler::worker(std::size_t worker_index) {
   // Initialize and power-on-calibrate this worker's stacks.
   for (std::size_t k = worker_index; k < stacks_.size();
        k += config_.thread_count) {
-    Stack& stack = *stacks_[k];
-    stack.workload.apply(stack.network, Second{0.0});
-    stack.network.set_temperatures(stack.network.steady_state());
-    stack.monitor.calibrate_all(&stack.noise);
+    stacks_[k]->loop.power_on(/*steady_state=*/true);
   }
 
   // Round-robin the stacks scan by scan so every stack streams steadily
@@ -200,39 +203,10 @@ void FleetSampler::worker(std::size_t worker_index) {
       if (config_.interceptor != nullptr) {
         config_.interceptor->before_scan(k, scan, stack.monitor);
       }
-      control::Controller* controller =
-          config_.control != nullptr ? &config_.control->controller(k)
-                                     : nullptr;
       // Advance simulated time to the next sampling instant — under the
       // controller's held actuation when the loop is closed.
-      Second advanced{0.0};
-      while (advanced < config_.sample_period) {
-        const Second h =
-            std::min(config_.thermal_step, config_.sample_period - advanced);
-        if (h.value() <= 0.0) break;  // float residue; the period is covered
-        if (controller != nullptr) {
-          control::apply_actuation(stack.workload, stack.network,
-                                   stack.now + advanced,
-                                   controller->actuation(),
-                                   controller->config().plant);
-        } else {
-          stack.workload.apply(stack.network, stack.now + advanced);
-        }
-        stack.network.step(h);
-        if (controller != nullptr) {
-          Celsius hottest{-273.15};
-          const std::size_t dies = stack.geometry.die_count();
-          for (std::size_t d = 0; d < dies; ++d) {
-            const Celsius t = to_celsius(stack.network.max_temperature(d));
-            if (t > hottest) hottest = t;
-          }
-          controller->note_tick(
-              h, hottest,
-              Watt{stack.network.total_power().value() +
-                   stack.network.leakage_power().value()});
-        }
-        advanced += h;
-      }
+      stack.loop.advance(stack.now, config_.sample_period,
+                         config_.thermal_step);
       stack.now += config_.sample_period;
 
       Frame frame;
@@ -240,52 +214,14 @@ void FleetSampler::worker(std::size_t worker_index) {
           config_.stack_id_base + static_cast<std::uint32_t>(k);
       frame.sequence = stack.sequence++;
       frame.sim_time = stack.now;
-      if (stack.supervisor != nullptr) {
-        // Supervised path: only convert the sites the supervisor asks for
-        // (quarantined sites between probes and dead sites cost nothing);
-        // skipped slots carry a placeholder the supervisor substitutes.
-        const std::size_t sites = stack.monitor.site_count();
-        std::vector<bool> sampled(sites, true);
-        frame.readings.reserve(sites);
-        for (std::size_t i = 0; i < sites; ++i) {
-          if (stack.supervisor->wants_sample(i)) {
-            frame.readings.push_back(stack.monitor.sample_site(i, &stack.noise));
-          } else {
-            sampled[i] = false;
-            core::StackMonitor::SiteReading placeholder;
-            placeholder.site_index = i;
-            placeholder.die = stack.monitor.site(i).die;
-            placeholder.location = stack.monitor.site(i).location;
-            placeholder.truth = stack.monitor.truth_at(i);
-            placeholder.degraded = true;  // no conversion behind it
-            frame.readings.push_back(placeholder);
-          }
-        }
-        if (config_.interceptor != nullptr) {
-          config_.interceptor->after_scan(k, scan, frame.readings);
-        }
-        auto result = stack.supervisor->observe(frame.readings, sampled);
-        for (const std::size_t i : result.recalibrate) {
-          // Forced recalibration on recovery: drop the latched process
-          // point; the next conversion self-calibrates afresh.
-          stack.monitor.sensor(i).clear_calibration();
-        }
-        for (auto& t : result.transitions) {
-          stack.transitions.push_back(std::move(t));
-        }
-        frame.readings = std::move(result.readings);
-      } else {
-        frame.readings = stack.monitor.sample_all(&stack.noise);
-        if (config_.interceptor != nullptr) {
-          config_.interceptor->after_scan(k, scan, frame.readings);
-        }
+      // Supervised, only the sites the supervisor asks for are converted
+      // (quarantined sites between probes and dead sites cost nothing).
+      frame.readings = stack.loop.sample_scan();
+      if (config_.interceptor != nullptr) {
+        config_.interceptor->after_scan(k, scan, frame.readings);
       }
-      if (controller != nullptr) {
-        // Post-supervision readings: the controller sees what the fleet
-        // sees — substituted quarantine placeholders arrive flagged
-        // degraded, so no policy can actuate on a dead sensor.
-        controller->on_scan(scan, stack.now, frame.readings);
-      }
+      // Supervise, then decide on what the fleet sees.
+      stack.loop.settle(scan, stack.now, frame.readings);
       frame.capture_ns = steady_now_ns();
 
       production_[k].frames += 1;
@@ -404,8 +340,7 @@ void FleetSampler::resume_all() {
 
 std::vector<core::HealthSupervisor::Transition> FleetSampler::transitions(
     std::size_t stack) const {
-  const Stack& s = *stacks_.at(stack);
-  return s.transitions;
+  return stacks_.at(stack)->loop.transitions();
 }
 
 std::vector<core::HealthState> FleetSampler::health(std::size_t stack) const {

@@ -1,11 +1,14 @@
 // Controller-in-the-loop integration tests: runaway containment, graceful
-// degradation on sensor loss, the MonitoringSession actuation seam, and
-// thread-count invariance of a fleet chaos campaign.
+// degradation on sensor loss, ladder and gating behaviour on a hot die, the
+// MonitoringSession actuation seam, the FleetSampler's hook and decision
+// order, and thread-count invariance of a fleet chaos campaign.
 #include "control/eval.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -228,6 +231,315 @@ TEST(ControlLoop, SessionControllerSeamLowersPeakTemperature) {
   const double closed_loop = peak_truth(&controller);
   EXPECT_LT(closed_loop, open_loop - 2.0);
   EXPECT_GT(controller.stats().decisions, 0u);
+}
+
+/// One central sensor per die; die 0 carries the load.
+struct SingleSiteStack {
+  thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
+  thermal::ThermalNetwork network{cfg};
+  std::unique_ptr<core::StackMonitor> monitor;
+
+  explicit SingleSiteStack(std::uint64_t variation_seed = 3,
+                           std::uint64_t monitor_seed = 5) {
+    std::vector<core::SensorSite> sites =
+        core::StackMonitor::uniform_sites(cfg, 1, 1);
+    const process::VariationModel model{device::Technology::tsmc65_like(),
+                                        {sites[0].location}};
+    Rng rng{variation_seed};
+    for (auto& site : sites) site.vt_delta = model.sample_die(rng).at(0);
+    monitor = std::make_unique<core::StackMonitor>(
+        &network, core::PtSensor::Config{}, sites, monitor_seed);
+  }
+};
+
+thermal::Workload die0_uniform(double watts) {
+  thermal::WorkloadPhase phase;
+  phase.name = "hot";
+  phase.duration = Second{1.0};
+  phase.directives.push_back({thermal::PowerDirective::Kind::kUniform, 0,
+                              Watt{watts}, {}, Meter{0.0}});
+  return thermal::Workload{{phase}};
+}
+
+/// Per-die ladder walk with no unscalable floor (a rung scales the die's
+/// whole map), ceiling 45 / floor 40 degC.
+Controller::Config ladder_config(PolicyKind kind) {
+  Controller::Config cfg;
+  cfg.kind = kind;
+  cfg.policy.ceiling = Celsius{45.0};
+  cfg.policy.floor = Celsius{40.0};
+  cfg.plant = PlantModel{0.0};
+  return cfg;
+}
+
+EvalConfig ladder_eval(Second duration) {
+  EvalConfig eval;
+  eval.sample_period = Second{2e-3};
+  eval.thermal_step = Second{1e-3};
+  eval.max_duration = duration;
+  return eval;
+}
+
+/// Die 0's command after every decision and the hottest sensed reading,
+/// for the whole run.
+struct ScanRecord {
+  std::vector<DieCommand> commands;
+  double max_sensed = -273.15;
+
+  void attach(EvalConfig& eval) {
+    eval.on_scan =
+        [this](std::uint64_t,
+               const std::vector<core::StackMonitor::SiteReading>& readings,
+               const Actuation& act) {
+          commands.push_back(act.dies.at(0));
+          for (const auto& r : readings) {
+            max_sensed = std::max(max_sensed, r.sensed.value());
+          }
+        };
+  }
+  [[nodiscard]] double mean_frequency() const {
+    double sum = 0.0;
+    for (const DieCommand& c : commands) sum += c.relative_frequency;
+    return commands.empty() ? 0.0 : sum / static_cast<double>(commands.size());
+  }
+  [[nodiscard]] std::size_t changes() const {
+    std::size_t n = 0;
+    for (std::size_t i = 1; i < commands.size(); ++i) {
+      if (!(commands[i] == commands[i - 1])) ++n;
+    }
+    return n;
+  }
+  [[nodiscard]] std::size_t trips() const {
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < commands.size(); ++i) {
+      if (commands[i].gated && (i == 0 || !commands[i - 1].gated)) ++n;
+    }
+    return n;
+  }
+};
+
+TEST(ControlLoop, CoolWorkloadClimbsToAndHoldsTheTopRung) {
+  SingleSiteStack fx;
+  Controller controller{ladder_config(PolicyKind::kDvfsLadder),
+                        fx.cfg.die_count()};
+  EvalConfig eval = ladder_eval(Second{100e-3});
+  ScanRecord die0;
+  die0.attach(eval);
+  const EvalResult result = run_closed_loop(
+      fx.network, die0_uniform(0.5), *fx.monitor, controller, eval, 1);
+  // Every die starts worst-case-safe at the bottom rung and climbs one rung
+  // per decision; once on top, nothing moves again.
+  const std::size_t rungs = ladder_config(PolicyKind::kDvfsLadder)
+                                .policy.ladder.size();
+  EXPECT_EQ(result.stats.level_changes, (rungs - 1) * fx.cfg.die_count());
+  ASSERT_GT(die0.commands.size(), rungs);
+  for (std::size_t i = rungs - 1; i < die0.commands.size(); ++i) {
+    EXPECT_EQ(die0.commands[i].level, 0u) << "scan " << i;
+  }
+  EXPECT_DOUBLE_EQ(result.stats.violation_s, 0.0);
+}
+
+TEST(ControlLoop, HotWorkloadStepsDownAndCapsTemperature) {
+  SingleSiteStack fx;
+  Controller controller{ladder_config(PolicyKind::kDvfsLadder),
+                        fx.cfg.die_count()};
+  EvalConfig eval = ladder_eval(Second{400e-3});
+  ScanRecord die0;
+  die0.attach(eval);
+  const EvalResult result = run_closed_loop(
+      fx.network, die0_uniform(14.0), *fx.monitor, controller, eval, 2);
+  EXPECT_GT(die0.changes(), 0u);
+  EXPECT_LT(die0.mean_frequency(), 1.0);
+  EXPECT_GT(die0.mean_frequency(), 0.4);  // not stuck at the bottom
+  // Temperature is contained near the ceiling (sampling slack allowed).
+  EXPECT_LT(result.stats.peak_true_c, 60.0);
+}
+
+TEST(ControlLoop, LadderBeatsStaticWorstCaseRung) {
+  // A designer without a sensor must statically pick the rung that is safe
+  // for the worst case; the ladder walk adapts and wins throughput.
+  SingleSiteStack fx_ladder;
+  Controller ladder{ladder_config(PolicyKind::kDvfsLadder),
+                    fx_ladder.cfg.die_count()};
+  const EvalResult adaptive =
+      run_closed_loop(fx_ladder.network, die0_uniform(14.0),
+                      *fx_ladder.monitor, ladder, ladder_eval(Second{400e-3}),
+                      3);
+  SingleSiteStack fx_static;
+  Controller fixed{ladder_config(PolicyKind::kStaticWorstCase),
+                   fx_static.cfg.die_count()};
+  const EvalResult parked =
+      run_closed_loop(fx_static.network, die0_uniform(14.0),
+                      *fx_static.monitor, fixed, ladder_eval(Second{400e-3}),
+                      3);
+  EXPECT_GT(adaptive.stats.work_done, parked.stats.work_done);
+}
+
+TEST(ControlLoop, HysteresisLimitsTransitionRate) {
+  SingleSiteStack fx;
+  Controller controller{ladder_config(PolicyKind::kDvfsLadder),
+                        fx.cfg.die_count()};
+  EvalConfig eval = ladder_eval(Second{400e-3});
+  ScanRecord die0;
+  die0.attach(eval);
+  (void)run_closed_loop(fx.network, die0_uniform(14.0), *fx.monitor,
+                        controller, eval, 4);
+  // With a 5 degC hysteresis band the hot die must not thrash every
+  // decision (400 ms / 2 ms = 200 decisions).
+  ASSERT_EQ(die0.commands.size(), 200u);
+  EXPECT_LT(die0.changes(), 60u);
+}
+
+/// Burst/idle on die 0, run from ambient so the guard has a transient to
+/// catch: the static top rung (unguarded) or a per-die gate at 42 / 38 degC
+/// that leaves 30 % of the die's power.
+EvalResult run_guard(PolicyKind kind, ScanRecord* record) {
+  SingleSiteStack fx{5, 44};
+  thermal::WorkloadPhase burst;
+  burst.name = "burst";
+  burst.duration = Second{40e-3};
+  burst.directives.push_back({thermal::PowerDirective::Kind::kUniform, 0,
+                              Watt{15.0}, {}, Meter{0.0}});
+  thermal::WorkloadPhase idle;
+  idle.name = "idle";
+  idle.duration = Second{40e-3};
+  idle.directives.push_back({thermal::PowerDirective::Kind::kUniform, 0,
+                             Watt{0.5}, {}, Meter{0.0}});
+  const thermal::Workload hot{{burst, idle, burst, idle}};
+  Controller::Config cfg;
+  cfg.kind = kind;
+  cfg.policy.static_level = 0;
+  cfg.policy.gate_on = Celsius{42.0};
+  cfg.policy.gate_off = Celsius{38.0};
+  cfg.policy.gate_power_scale = 0.3;
+  cfg.plant = PlantModel{0.0};
+  cfg.violation_ceiling = cfg.policy.gate_on;
+  Controller controller{cfg, fx.cfg.die_count()};
+  EvalConfig eval = ladder_eval(Second{160e-3});
+  record->attach(eval);
+  return run_closed_loop(fx.network, hot, *fx.monitor, controller, eval, 3);
+}
+
+TEST(ControlLoop, GatingReducesPeak) {
+  ScanRecord open, guarded;
+  const EvalResult unguarded = run_guard(PolicyKind::kStaticWorstCase, &open);
+  const EvalResult gated = run_guard(PolicyKind::kReactiveGating, &guarded);
+  EXPECT_GT(unguarded.stats.peak_true_c, 42.0);
+  EXPECT_LT(gated.stats.peak_true_c, unguarded.stats.peak_true_c);
+  EXPECT_LT(gated.stats.violation_s, unguarded.stats.violation_s);
+  EXPECT_GT(guarded.trips(), 0u);
+  EXPECT_EQ(open.trips(), 0u);
+}
+
+TEST(ControlLoop, SensedTracksTrue) {
+  ScanRecord record;
+  const EvalResult result = run_guard(PolicyKind::kReactiveGating, &record);
+  // The true peak is tracked at every thermal substep while the sensed one
+  // only exists at scan instants, so the comparison carries sampling slack
+  // on top of sensor error.
+  EXPECT_NEAR(record.max_sensed, result.stats.peak_true_c, 8.0);
+}
+
+/// Records every sampler hook and checks, at each one, how far the stack's
+/// scan has progressed: the controller's tick energy moves only in the
+/// advance, its decision count only after supervision.
+class OrderRecorder final : public telemetry::ScanInterceptor,
+                            public telemetry::FrameSink {
+ public:
+  explicit OrderRecorder(const Controller* controller)
+      : controller_(controller) {}
+
+  void before_scan(std::size_t, std::uint64_t scan,
+                   core::StackMonitor&) override {
+    log("before_scan", scan);
+    energy_before_ = controller_->stats().energy_j;
+  }
+  void after_scan(std::size_t, std::uint64_t scan,
+                  std::vector<core::StackMonitor::SiteReading>& readings)
+      override {
+    log("after_scan", scan);
+    advanced_before_sample_ =
+        advanced_before_sample_ &&
+        controller_->stats().energy_j > energy_before_;
+    // Claim every die-3 site is quarantined.  Only the supervisor's
+    // re-stamped health reaches the controller, so it never sees a blind
+    // die — unless it decided on these raw readings.
+    for (auto& r : readings) {
+      if (r.die == 3) {
+        r.health = static_cast<std::uint8_t>(core::HealthState::kQuarantined);
+      }
+    }
+  }
+  void on_frame(const telemetry::Frame& frame,
+                const std::vector<std::uint8_t>&) override {
+    log("on_frame", frame.sequence);
+    captured_before_encode_ = captured_before_encode_ && frame.capture_ns > 0;
+  }
+  bool before_publish(std::size_t, std::uint64_t scan,
+                      std::vector<std::uint8_t>&) override {
+    log("before_publish", scan);
+    return true;
+  }
+
+  [[nodiscard]] const std::vector<std::string>& events() const {
+    return events_;
+  }
+  [[nodiscard]] bool advanced_before_sample() const {
+    return advanced_before_sample_;
+  }
+  [[nodiscard]] bool captured_before_encode() const {
+    return captured_before_encode_;
+  }
+
+ private:
+  /// "<hook> <scan> <decisions so far>".
+  void log(const char* hook, std::uint64_t scan) {
+    events_.push_back(std::string{hook} + " " + std::to_string(scan) + " " +
+                      std::to_string(controller_->stats().decisions));
+  }
+
+  const Controller* controller_;
+  std::vector<std::string> events_;
+  double energy_before_ = 0.0;
+  bool advanced_before_sample_ = true;
+  bool captured_before_encode_ = true;
+};
+
+TEST(ControlLoop, FleetSamplerRunsHooksAndDecisionInOrder) {
+  constexpr std::size_t kScans = 4;
+  ControlPlane::Config plane_cfg;
+  plane_cfg.controller = loop_config(PolicyKind::kDvfsLadder);
+  plane_cfg.stack_count = 1;
+  ControlPlane plane{plane_cfg};
+  OrderRecorder recorder{&plane.controller(0)};
+
+  telemetry::FleetSampler::Config cfg;
+  cfg.stack_count = 1;
+  cfg.thread_count = 1;
+  cfg.scans_per_stack = kScans;
+  cfg.ring_capacity = 2 * kScans;
+  cfg.supervise = true;
+  cfg.control = &plane;
+  cfg.interceptor = &recorder;
+  cfg.sink = &recorder;
+  telemetry::FleetSampler sampler{cfg};
+  sampler.run();
+
+  // before_scan -> advance -> sample -> after_scan -> supervise -> decide
+  // -> capture -> encode -> on_frame -> before_publish -> ring.
+  std::vector<std::string> expected;
+  for (std::size_t s = 0; s < kScans; ++s) {
+    const std::string scan = std::to_string(s);
+    expected.push_back("before_scan " + scan + " " + scan);
+    expected.push_back("after_scan " + scan + " " + scan);
+    expected.push_back("on_frame " + scan + " " + std::to_string(s + 1));
+    expected.push_back("before_publish " + scan + " " + std::to_string(s + 1));
+  }
+  EXPECT_EQ(recorder.events(), expected);
+  EXPECT_TRUE(recorder.advanced_before_sample());
+  EXPECT_TRUE(recorder.captured_before_encode());
+  EXPECT_EQ(plane.controller(0).stats().blind_scans, 0u);
+  EXPECT_EQ(sampler.rings().front()->size(), kScans);
 }
 
 inject::FaultPlan chaos_plan(std::size_t stacks, std::uint64_t scans) {

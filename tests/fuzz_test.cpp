@@ -10,7 +10,6 @@
 #include "calib/polyfit.hpp"
 #include "core/pt_sensor.hpp"
 #include "process/variation.hpp"
-#include "sim/event_queue.hpp"
 #include "thermal/network.hpp"
 #include "thermal/workload.hpp"
 
@@ -121,23 +120,6 @@ TEST(Fuzz, PolyfitNeverDivergesOnTameData) {
       EXPECT_TRUE(std::isfinite(p(xi)));
       EXPECT_LT(std::abs(p(xi)), 1e4);
     }
-  }
-}
-
-TEST(Fuzz, SimulatorRandomScheduleKeepsOrder) {
-  Rng rng{0xF127};
-  sim::Simulator simulator;
-  std::vector<double> fire_times;
-  for (int i = 0; i < 300; ++i) {
-    const double t = rng.uniform(0.0, 1.0);
-    simulator.schedule_at(Second{t}, [&fire_times](sim::Simulator& s) {
-      fire_times.push_back(s.now().value());
-    });
-  }
-  simulator.run_until(Second{2.0});
-  ASSERT_EQ(fire_times.size(), 300u);
-  for (std::size_t i = 1; i < fire_times.size(); ++i) {
-    EXPECT_GE(fire_times[i], fire_times[i - 1]);
   }
 }
 

@@ -356,7 +356,6 @@ TEST(NetFraming, TraceContextFieldsRoundTrip) {
   BatchParser parser;
   std::size_t seen = 0;
   parser.set_batch_handler([&](const BatchInfo& info) {
-    EXPECT_EQ(info.version, kBatchVersion);
     EXPECT_EQ(info.trace_id, meta.trace_id);
     EXPECT_EQ(info.send_ns, meta.send_ns);
     EXPECT_EQ(info.offset_ns, meta.offset_ns);
@@ -372,7 +371,8 @@ TEST(NetFraming, TraceContextFieldsRoundTrip) {
   EXPECT_EQ(emitted, frames.size());
 }
 
-/// A 36-byte v2 batch as a pre-upgrade build (or an old spill log) wrote it.
+/// A 36-byte v2 batch (the v3 header without its trace/timestamp trio), as
+/// a build that spoke v2 would have written it.
 std::vector<std::uint8_t> encode_v2_batch(
     const std::vector<std::vector<std::uint8_t>>& frames) {
   using telemetry::put_u16;
@@ -382,13 +382,13 @@ std::vector<std::uint8_t> encode_v2_batch(
   for (const auto& f : frames) payload += 4 + f.size();
   std::vector<std::uint8_t> out;
   put_u32(out, kBatchMagic);
-  put_u16(out, kBatchVersionV2);
+  put_u16(out, 2);  // version
   put_u16(out, 0);  // flags
   put_u64(out, 21); // publisher id
   put_u64(out, 5);  // seq
   put_u32(out, static_cast<std::uint32_t>(frames.size()));
   put_u32(out, static_cast<std::uint32_t>(payload));
-  put_u32(out, telemetry::crc32(out.data(), kBatchHeaderSizeV2 - 4));
+  put_u32(out, telemetry::crc32(out.data(), out.size()));
   for (const auto& f : frames) {
     put_u32(out, static_cast<std::uint32_t>(f.size()));
     out.insert(out.end(), f.begin(), f.end());
@@ -396,31 +396,30 @@ std::vector<std::uint8_t> encode_v2_batch(
   return out;
 }
 
-TEST(NetFraming, V2BatchStillParses) {
-  const auto frames = sample_frames(3);
-  const std::vector<std::uint8_t> wire = encode_v2_batch(frames);
-  ASSERT_EQ(wire.size(),
-            kBatchHeaderSizeV2 + batch_wire_size(frames) - kBatchHeaderSize);
-
+TEST(NetFraming, V2BatchIsRejected) {
+  // v3 is the only batch version: a v2 header poisons the stream before a
+  // single frame is emitted or a batch reaches the handler.
+  const std::vector<std::uint8_t> wire = encode_v2_batch(sample_frames(3));
   BatchParser parser;
   std::size_t seen = 0;
-  parser.set_batch_handler([&](const BatchInfo& info) {
-    EXPECT_EQ(info.version, kBatchVersionV2);
-    EXPECT_EQ(info.publisher_id, 21u);
-    EXPECT_EQ(info.seq, 5u);
-    // v2 carries no trace context: fields default, offset never valid.
-    EXPECT_EQ(info.trace_id, 0u);
-    EXPECT_EQ(info.send_ns, 0u);
-    EXPECT_FALSE(info.offset_valid());
+  parser.set_batch_handler([&](const BatchInfo&) {
     seen += 1;
     return true;
   });
   std::size_t emitted = 0;
   EXPECT_EQ(parser.consume(wire.data(), wire.size(),
                            [&](std::vector<std::uint8_t>&&) { emitted += 1; }),
-            BatchStatus::kOk);
-  EXPECT_EQ(seen, 1u);
-  EXPECT_EQ(emitted, frames.size());
+            BatchStatus::kBadVersion);
+  EXPECT_EQ(seen, 0u);
+  EXPECT_EQ(emitted, 0u);
+  EXPECT_TRUE(parser.failed());
+
+  // Sticky: a well-formed v3 batch behind it is never parsed.
+  const std::vector<std::uint8_t> v3 = encode_batch(sample_frames(1));
+  EXPECT_EQ(parser.consume(v3.data(), v3.size(),
+                           [&](std::vector<std::uint8_t>&&) { emitted += 1; }),
+            BatchStatus::kBadVersion);
+  EXPECT_EQ(emitted, 0u);
 }
 
 TEST(NetFraming, RestampRefreshesSendTimestampAndOffset) {
@@ -462,13 +461,7 @@ TEST(NetFraming, RestampRefreshesSendTimestampAndOffset) {
             BatchStatus::kOk);
 }
 
-TEST(NetFraming, RestampRefusesV2AndGarbage) {
-  // v2 batches (replayed spill logs) have no timestamp fields: untouched.
-  std::vector<std::uint8_t> v2 = encode_v2_batch(sample_frames(1));
-  const std::vector<std::uint8_t> pristine = v2;
-  EXPECT_FALSE(restamp_batch_send(v2, 999, 0, false));
-  EXPECT_EQ(v2, pristine);
-
+TEST(NetFraming, RestampRefusesGarbage) {
   std::vector<std::uint8_t> tiny(8, 0);
   EXPECT_FALSE(restamp_batch_send(tiny, 999, 0, false));
 
@@ -510,28 +503,27 @@ TEST(NetFraming, AckTimestampTrioRoundTrips) {
   EXPECT_FALSE(got[0].timestamped());
 }
 
-TEST(NetFraming, V1AckStillParses) {
+TEST(NetFraming, V1AckIsRejected) {
+  // A 24-byte v1 ack (the v2 frame without its timestamp trio): v2 is the
+  // only ack version, so the parser poisons instead of delivering it.
   using telemetry::put_u16;
   using telemetry::put_u32;
   using telemetry::put_u64;
   std::vector<std::uint8_t> wire;
   put_u32(wire, kAckMagic);
-  put_u16(wire, kAckVersionV1);
+  put_u16(wire, 1);  // version
   put_u16(wire, kAckFlagDrained);
   put_u64(wire, 99);  // ack_seq
   put_u32(wire, 0);   // nack
-  put_u32(wire, telemetry::crc32(wire.data(), kAckFrameSizeV1 - 4));
-  ASSERT_EQ(wire.size(), kAckFrameSizeV1);
+  put_u32(wire, telemetry::crc32(wire.data(), wire.size()));
 
   AckParser parser;
   std::vector<AckFrame> got;
-  ASSERT_EQ(parser.consume(wire.data(), wire.size(),
+  EXPECT_EQ(parser.consume(wire.data(), wire.size(),
                            [&](const AckFrame& a) { got.push_back(a); }),
-            AckStatus::kOk);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].ack_seq, 99u);
-  EXPECT_TRUE(got[0].drained());
-  EXPECT_FALSE(got[0].timestamped());
+            AckStatus::kBadVersion);
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(parser.failed());
 }
 
 TEST(NetSocket, LoopbackSendRecvRoundTrip) {

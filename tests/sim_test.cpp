@@ -5,82 +5,10 @@
 #include <vector>
 
 #include "process/variation.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/monitor_session.hpp"
-#include "sim/thermal_guard.hpp"
 
 namespace tsvpt::sim {
 namespace {
-
-TEST(Simulator, EventsRunInTimeOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  sim.schedule_at(Second{3e-3}, [&](Simulator&) { order.push_back(3); });
-  sim.schedule_at(Second{1e-3}, [&](Simulator&) { order.push_back(1); });
-  sim.schedule_at(Second{2e-3}, [&](Simulator&) { order.push_back(2); });
-  sim.run_until(Second{1.0});
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.processed_count(), 3u);
-}
-
-TEST(Simulator, TiesBreakInScheduleOrder) {
-  Simulator sim;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    sim.schedule_at(Second{1e-3}, [&order, i](Simulator&) {
-      order.push_back(i);
-    });
-  }
-  sim.run_until(Second{1.0});
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Simulator, RunUntilStopsAtHorizon) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(Second{1e-3}, [&](Simulator&) { ++fired; });
-  sim.schedule_at(Second{5e-3}, [&](Simulator&) { ++fired; });
-  sim.run_until(Second{2e-3});
-  EXPECT_EQ(fired, 1);
-  EXPECT_DOUBLE_EQ(sim.now().value(), 2e-3);
-  sim.run_until(Second{10e-3});
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Simulator, EventsCanScheduleMoreEvents) {
-  Simulator sim;
-  int ticks = 0;
-  std::function<void(Simulator&)> tick = [&](Simulator& s) {
-    ++ticks;
-    if (ticks < 10) s.schedule_after(Second{1e-3}, tick);
-  };
-  sim.schedule_at(Second{0.0}, tick);
-  sim.run_until(Second{1.0});
-  EXPECT_EQ(ticks, 10);
-}
-
-TEST(Simulator, PastSchedulingThrows) {
-  Simulator sim;
-  sim.schedule_at(Second{1e-3}, [](Simulator&) {});
-  sim.run_until(Second{2e-3});
-  EXPECT_THROW(sim.schedule_at(Second{1e-3}, [](Simulator&) {}),
-               std::invalid_argument);
-  EXPECT_THROW(sim.schedule_after(Second{-1.0}, [](Simulator&) {}),
-               std::invalid_argument);
-  EXPECT_THROW(sim.schedule_at(Second{5e-3}, nullptr), std::invalid_argument);
-}
-
-TEST(Simulator, StopHaltsProcessing) {
-  Simulator sim;
-  int fired = 0;
-  sim.schedule_at(Second{1e-3}, [&](Simulator& s) {
-    ++fired;
-    s.stop();
-  });
-  sim.schedule_at(Second{2e-3}, [&](Simulator&) { ++fired; });
-  sim.run_until(Second{1.0});
-  EXPECT_EQ(fired, 1);
-}
 
 struct SessionFixture {
   thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
@@ -113,6 +41,23 @@ TEST(MonitoringSession, ProducesExpectedSampleCount) {
   session.run(Second{60e-3});
   EXPECT_EQ(session.trace().size(), 12u);
   EXPECT_EQ(session.trace().front().readings.size(), 4u);
+}
+
+TEST(MonitoringSession, WholeNumberOfScansDespiteFloatResidue) {
+  // 120e-3 / 1e-3 is not exactly 120 in floating point; the session must
+  // still produce every scan, each at its exact instant.
+  SessionFixture fx;
+  MonitoringSession::Config cfg;
+  cfg.sample_period = Second{1e-3};
+  cfg.thermal_step = Second{0.5e-3};
+  MonitoringSession session{&fx.network, &fx.workload, fx.monitor.get(), cfg,
+                            7};
+  session.run(Second{120e-3});
+  ASSERT_EQ(session.trace().size(), 120u);
+  for (std::size_t k = 0; k < session.trace().size(); ++k) {
+    EXPECT_NEAR(session.trace()[k].time.value(),
+                static_cast<double>(k + 1) * 1e-3, 1e-12);
+  }
 }
 
 TEST(MonitoringSession, TrackingErrorsSmall) {
@@ -237,56 +182,6 @@ TEST(MonitoringSession, ValidatesArguments) {
   EXPECT_THROW((MonitoringSession{&fx.network, &fx.workload, fx.monitor.get(),
                                   cfg, 1}),
                std::invalid_argument);
-}
-
-TEST(ThermalGuard, ThrottlingReducesPeak) {
-  SessionFixture fx;
-  // A hot uniform workload the (single, central) sensor can see directly;
-  // runs start from ambient, so the guard has a transient to catch.
-  thermal::WorkloadPhase burst;
-  burst.name = "burst";
-  burst.duration = Second{40e-3};
-  burst.directives.push_back({thermal::PowerDirective::Kind::kUniform, 0,
-                              Watt{15.0}, {}, Meter{0.0}});
-  thermal::WorkloadPhase idle;
-  idle.name = "idle";
-  idle.duration = Second{40e-3};
-  idle.directives.push_back({thermal::PowerDirective::Kind::kUniform, 0,
-                             Watt{0.5}, {}, Meter{0.0}});
-  const thermal::Workload hot{{burst, idle, burst, idle}};
-  ThermalGuard::Config cfg;
-  cfg.throttle_on = Celsius{42.0};
-  cfg.throttle_off = Celsius{38.0};
-  cfg.sample_period = Second{2e-3};
-  cfg.thermal_step = Second{1e-3};
-  const ThermalGuard guard{cfg};
-
-  SessionFixture fx2;
-  const auto unguarded =
-      guard.run(fx.network, hot, *fx.monitor, Second{160e-3}, 3, false);
-  const auto guarded =
-      guard.run(fx2.network, hot, *fx2.monitor, Second{160e-3}, 3, true);
-
-  EXPECT_GT(unguarded.max_true.value(), cfg.throttle_on.value());
-  EXPECT_LT(guarded.max_true.value(), unguarded.max_true.value());
-  EXPECT_LT(guarded.overshoot_integral, unguarded.overshoot_integral);
-  EXPECT_GT(guarded.throttle_events, 0u);
-  EXPECT_GT(guarded.throttled_fraction, 0.0);
-  EXPECT_EQ(unguarded.throttle_events, 0u);
-}
-
-TEST(ThermalGuard, SensedTracksTrue) {
-  SessionFixture fx;
-  ThermalGuard::Config cfg;
-  cfg.sample_period = Second{5e-3};
-  cfg.thermal_step = Second{1e-3};
-  const ThermalGuard guard{cfg};
-  const auto result =
-      guard.run(fx.network, fx.workload, *fx.monitor, Second{60e-3}, 4, true);
-  // max_true is tracked at every thermal step while max_sensed only exists
-  // at sampling instants, so the comparison carries sampling slack on top of
-  // sensor error.
-  EXPECT_NEAR(result.max_sensed.value(), result.max_true.value(), 8.0);
 }
 
 }  // namespace
