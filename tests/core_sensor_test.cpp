@@ -26,9 +26,12 @@ DieEnvironment environment(double t_celsius, double dvtn_mv, double dvtp_mv) {
 }
 
 TEST(PtSensor, ModelFrequencyMatchesOscillatorBank) {
-  const PtSensor sensor{clean_config(), 1};
+  // The oscillator keeps a pointer to its technology card, so the card must
+  // outlive it (a temporary config's card would dangle).
+  const PtSensor::Config cfg = clean_config();
+  const PtSensor sensor{cfg, 1};
   const circuit::RingOscillator tdro = circuit::RingOscillator::make(
-      clean_config().tech, circuit::RoTopology::kThermal, 15);
+      cfg.tech, circuit::RoTopology::kThermal, 15);
   circuit::OperatingPoint op;
   op.vdd = Volt{1.0};
   op.temperature = Kelvin{320.0};

@@ -205,28 +205,40 @@ TEST_F(ObsMetrics, SnapshotIsSortedByName) {
 
 // -- golden-schema checks on the exposition formats ----------------------
 
+/// One line of the Prometheus text exposition format: a `# TYPE` header,
+/// or a sample whose optional label set is `{name="value"(,name="value")*}`
+/// with backslash escapes inside the quoted values.
+bool exposition_line_ok(const std::string& line) {
+  static const std::regex type_line{
+      R"re(# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|summary))re"};
+  static const std::string label =
+      R"re([a-zA-Z_][a-zA-Z0-9_]*="(\\.|[^"\\])*")re";
+  static const std::regex sample_line{
+      R"re([a-zA-Z_:][a-zA-Z0-9_:]*(\{)re" + label + "(," + label +
+      R"re()*\})? -?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?)re"};
+  return std::regex_match(line, type_line) ||
+         std::regex_match(line, sample_line);
+}
+
 TEST_F(ObsMetrics, PrometheusTextMatchesExpositionGrammar) {
   counter("obs_test_prom_total").add(3);
   gauge("obs_test_prom_gauge").set(1.5);
   const Histogram h = histogram("obs_test_prom_seconds");
   h.observe(0.5);
   h.observe(2.0);
+  // A labelled family, so `{stage="...",quantile="..."}` lines are checked
+  // on every run, not only when an earlier test in the process left one.
+  histogram("obs_test_prom_stage_seconds", "stage", "seal_to_wire")
+      .observe(0.25);
   const std::string text = metrics_prometheus();
   ASSERT_FALSE(text.empty());
   EXPECT_EQ(text.back(), '\n');
 
-  const std::regex type_line{
-      R"re(# TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|summary))re"};
-  const std::regex sample_line{
-      R"re([a-zA-Z_:][a-zA-Z0-9_:]*(\{quantile="0\.(5|9|99)"\})? )re"
-      R"re(-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?)re"};
   std::istringstream lines{text};
   std::string line;
   while (std::getline(lines, line)) {
     ASSERT_FALSE(line.empty());
-    EXPECT_TRUE(std::regex_match(line, type_line) ||
-                std::regex_match(line, sample_line))
-        << "bad exposition line: " << line;
+    EXPECT_TRUE(exposition_line_ok(line)) << "bad exposition line: " << line;
   }
   EXPECT_NE(text.find("# TYPE obs_test_prom_total counter"),
             std::string::npos);
@@ -235,6 +247,21 @@ TEST_F(ObsMetrics, PrometheusTextMatchesExpositionGrammar) {
   EXPECT_NE(text.find("obs_test_prom_seconds_count 2"), std::string::npos);
   EXPECT_NE(text.find("# TYPE obs_test_prom_seconds_max gauge"),
             std::string::npos);
+  EXPECT_NE(text.find("obs_test_prom_stage_seconds{stage=\"seal_to_wire\","
+                      "quantile=\"0.5\"} "),
+            std::string::npos);
+  EXPECT_NE(
+      text.find("obs_test_prom_stage_seconds_count{stage=\"seal_to_wire\"} 1"),
+      std::string::npos);
+}
+
+TEST_F(ObsMetrics, ExpositionGrammarRejectsMalformedLabels) {
+  EXPECT_TRUE(exposition_line_ok(R"(m_seconds{stage="a\"b",quantile="0.5"} 1)"));
+  EXPECT_FALSE(exposition_line_ok("m_seconds{stage=seal_to_wire} 1"));
+  EXPECT_FALSE(exposition_line_ok(R"(m_seconds{stage="a",} 1)"));
+  EXPECT_FALSE(exposition_line_ok(R"(m_seconds{="a"} 1)"));
+  EXPECT_FALSE(exposition_line_ok(R"(m_seconds{stage="a"}1)"));
+  EXPECT_FALSE(exposition_line_ok(R"(m_seconds{stage="a" 1)"));
 }
 
 TEST_F(ObsMetrics, JsonExportParsesAndHoldsTheSections) {
