@@ -49,6 +49,24 @@ void BM_TrackingRead(benchmark::State& state) {
 }
 BENCHMARK(BM_TrackingRead);
 
+// Supply-compensated reads on F5's top-die rail (9 mV static droop, 1 mV
+// rms noise): the rail estimate moves every conversion, so each read
+// confirms its table segment at that estimate.
+void BM_TrackingReadCompensated(benchmark::State& state) {
+  core::PtSensor::Config cfg;
+  cfg.compensate_supply = true;
+  core::PtSensor sensor{cfg, 1};
+  core::DieEnvironment env;
+  env.temperature = Kelvin{330.0};
+  env.supply = circuit::SupplyRail{{Volt{1.0}, Volt{9e-3}, Volt{1e-3}}};
+  Rng rng{2};
+  (void)sensor.self_calibrate(env, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sensor.read(env, &rng));
+  }
+}
+BENCHMARK(BM_TrackingReadCompensated);
+
 void BM_ThermalSteadyState(benchmark::State& state) {
   thermal::ThermalNetwork net{thermal::StackConfig::four_die_stack()};
   net.set_uniform_power(0, Watt{2.0});
