@@ -62,7 +62,7 @@ int main() {
   table.add_column("detect_+40degC_%", 1);
 
   for (double threshold : {4.0, 6.0, 8.0, 12.0, 16.0}) {
-    const FaultDetector detector{
+    FaultDetector detector{
         FaultDetector::Config{Celsius{threshold}, 2.0}};
 
     // False positives on healthy fleets.

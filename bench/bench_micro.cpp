@@ -4,10 +4,17 @@
 // real-time-scale thermal co-simulation.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "calib/linalg.hpp"
 #include "circuit/ring_oscillator.hpp"
+#include "core/fault_detector.hpp"
 #include "core/pt_sensor.hpp"
 #include "process/variation.hpp"
+#include "telemetry/aggregator.hpp"
+#include "telemetry/codec_util.hpp"
+#include "telemetry/frame.hpp"
 #include "thermal/network.hpp"
 
 namespace {
@@ -117,6 +124,92 @@ void BM_LuSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LuSolve)->Arg(3)->Arg(16)->Arg(64);
+
+/// A 64-site scan shaped like perfbench's ingest_fanin frames: four dies of
+/// 4x4 sites over 5 mm, healthy readings around 55 degC, no capture stamp.
+/// `shift` moves every site, giving another layout.
+telemetry::Frame fanin_frame(std::uint32_t stack, std::uint64_t sequence,
+                             Rng& rng, double shift = 0.0) {
+  telemetry::Frame frame;
+  frame.stack_id = stack;
+  frame.sequence = sequence;
+  frame.sim_time = Second{1e-3 * static_cast<double>(sequence)};
+  for (std::size_t s = 0; s < 64; ++s) {
+    core::StackMonitor::SiteReading r;
+    r.site_index = s;
+    r.die = s / 16;
+    r.location = {5e-3 * (static_cast<double>(s % 16 / 4) + 0.5) / 4 + shift,
+                  5e-3 * (static_cast<double>(s % 4) + 0.5) / 4};
+    r.truth = Celsius{55.0 + 2.0 * static_cast<double>(3 - r.die) +
+                      rng.uniform(-1.0, 1.0)};
+    r.sensed = Celsius{r.truth.value() + rng.gaussian(0.0, 0.4)};
+    r.energy = Joule{367.5e-12};
+    frame.readings.push_back(r);
+  }
+  return frame;
+}
+
+/// The shard aggregator's spatial check on one 64-site frame, with the
+/// layout of the scan before (every perfbench workload's case).
+void BM_FaultDetectorAnalyze64(benchmark::State& state) {
+  Rng rng{3};
+  const telemetry::Frame frame = fanin_frame(0, 0, rng);
+  core::FaultDetector detector{telemetry::Aggregator::Config{}.fault};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.analyze(frame.readings));
+  }
+}
+BENCHMARK(BM_FaultDetectorAnalyze64);
+
+/// The weight table's worst case: two layouts alternate, so every scan's
+/// layout differs from the one before.
+void BM_FaultDetectorAnalyze64NewLayout(benchmark::State& state) {
+  Rng rng{3};
+  const telemetry::Frame frames[] = {fanin_frame(0, 0, rng),
+                                     fanin_frame(0, 1, rng, 1e-5)};
+  core::FaultDetector detector{telemetry::Aggregator::Config{}.fault};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(detector.analyze(frames[next].readings));
+    next ^= 1;
+  }
+}
+BENCHMARK(BM_FaultDetectorAnalyze64NewLayout);
+
+/// Aggregator::ingest of encoded 64-site frames (decode, fold, alerts and
+/// the spatial check), round-robin over 256 stacks.
+void BM_AggregatorIngest64(benchmark::State& state) {
+  Rng rng{4};
+  std::vector<std::vector<std::uint8_t>> wire;
+  for (std::uint64_t seq = 0; seq < 4; ++seq) {
+    for (std::uint32_t stack = 0; stack < 256; ++stack) {
+      wire.push_back(telemetry::encode(fanin_frame(stack, seq, rng)));
+    }
+  }
+  telemetry::Aggregator aggregator{telemetry::Aggregator::Config{}};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    aggregator.ingest(wire[next]);
+    next = (next + 1) % wire.size();
+  }
+  benchmark::DoNotOptimize(aggregator.summary().frames);
+}
+BENCHMARK(BM_AggregatorIngest64);
+
+/// CRC-32 over 3,250 bytes, about one encoded 64-site frame.
+void BM_Crc32Frame(benchmark::State& state) {
+  Rng rng{5};
+  std::vector<std::uint8_t> bytes(3250);
+  for (std::uint8_t& b : bytes) {
+    b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32Frame);
 
 }  // namespace
 

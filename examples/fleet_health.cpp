@@ -32,7 +32,7 @@ int main() {
 
   StackMonitor monitor{&network, PtSensor::Config{}, sites, 77};
   monitor.calibrate_all(&rng);
-  const FaultDetector spatial;
+  FaultDetector spatial;
   JumpDetector temporal;
 
   auto report = [&](const char* label) {

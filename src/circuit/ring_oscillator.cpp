@@ -20,7 +20,7 @@ const char* to_string(RoTopology topology) {
 }
 
 RingOscillator::RingOscillator(const device::Technology& tech, Config config)
-    : tech_(&tech), nmos_(tech, device::TransistorKind::kNmos),
+    : stage_cap_(tech.stage_cap), nmos_(tech, device::TransistorKind::kNmos),
       pmos_(tech, device::TransistorKind::kPmos), config_(config) {
   if (config_.stages < 3 || config_.stages % 2 == 0) {
     throw std::invalid_argument{"RingOscillator: stages must be odd and >= 3"};
@@ -68,7 +68,7 @@ Second RingOscillator::stage_delay(const OperatingPoint& op) const {
   if (op.vdd.value() <= 0.0) {
     throw std::invalid_argument{"RingOscillator: vdd <= 0"};
   }
-  const double c = tech_->stage_cap.value();
+  const double c = stage_cap_.value();
   const double vdd = op.vdd.value();
 
   const Volt vgs_n{vdd * config_.nmos_gate_fraction};
@@ -94,7 +94,7 @@ Hertz RingOscillator::frequency(const OperatingPoint& op) const {
 
 Joule RingOscillator::energy_per_cycle(Volt vdd) const {
   // Every stage charges and discharges C once per output period.
-  const double c = tech_->stage_cap.value();
+  const double c = stage_cap_.value();
   const double v = vdd.value();
   return Joule{config_.energy_overhead * static_cast<double>(config_.stages) *
                c * v * v};

@@ -89,7 +89,9 @@ class RingOscillator {
  private:
   [[nodiscard]] Second stage_delay(const OperatingPoint& op) const;
 
-  const device::Technology* tech_;
+  // The one card field the model reads, by value: an oscillator (and so a
+  // copied PtSensor's bank) must not point into another object's config.
+  Farad stage_cap_;
   device::Mosfet nmos_;
   device::Mosfet pmos_;
   Config config_;

@@ -135,8 +135,8 @@ void Aggregator::collect(std::vector<FrameRing*> rings) {
   }
 }
 
-void Aggregator::raise(AlertKind kind, const Frame& frame, std::size_t die,
-                       std::size_t site, double value) {
+void Aggregator::raise(AlertKind kind, const Frame& frame, StackStats& stack,
+                       std::size_t die, std::size_t site, double value) {
   Alert alert;
   alert.kind = kind;
   alert.stack_id = frame.stack_id;
@@ -147,12 +147,56 @@ void Aggregator::raise(AlertKind kind, const Frame& frame, std::size_t die,
   summary_.alerts += 1;
   live_alerts_.fetch_add(1, std::memory_order_relaxed);
   summary_.alerts_by_kind[kind] += 1;
-  summary_.stacks[frame.stack_id].alerts += 1;
+  stack.alerts += 1;
   AggregatorMetrics::get().alerts.inc();
   // Alert edges land in the flight recorder so a trace of a bad run shows
   // *when* the pipeline noticed, not just that it did.
   obs::instant("alert", to_string(kind), frame.stack_id);
   if (on_alert_) on_alert_(alert);
+}
+
+void Aggregator::map_dies(StackState& stack, const Frame& frame) {
+  constexpr std::size_t kNoSlot = std::numeric_limits<std::size_t>::max();
+  auto find = [&stack](std::size_t die) {
+    const auto it = std::lower_bound(
+        stack.dies.begin(), stack.dies.end(), die,
+        [](const DieState& state, std::size_t d) { return state.die < d; });
+    return it != stack.dies.end() && it->die == die
+               ? static_cast<std::size_t>(it - stack.dies.begin())
+               : kNoSlot;
+  };
+  const std::size_t n = frame.readings.size();
+  die_slot_.resize(n);
+  for (;;) {
+    // Readings usually arrive grouped by die: try the previous slot first.
+    bool complete = true;
+    std::size_t slot = kNoSlot;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t die = frame.readings[k].die;
+      if (slot == kNoSlot || stack.dies[slot].die != die) slot = find(die);
+      die_slot_[k] = slot;
+      complete = complete && slot != kNoSlot;
+    }
+    if (complete) return;
+    // Add every new die at once and look again: one sort per frame, however
+    // many of its dies are new.
+    for (std::size_t k = 0; k < n; ++k) {
+      if (die_slot_[k] != kNoSlot) continue;
+      DieState state;
+      state.die = frame.readings[k].die;
+      state.stats = &stack.stats->dies[state.die];
+      stack.dies.push_back(state);
+    }
+    std::sort(stack.dies.begin(), stack.dies.end(),
+              [](const DieState& a, const DieState& b) {
+                return a.die < b.die;
+              });
+    stack.dies.erase(std::unique(stack.dies.begin(), stack.dies.end(),
+                                 [](const DieState& a, const DieState& b) {
+                                   return a.die == b.die;
+                                 }),
+                     stack.dies.end());
+  }
 }
 
 void Aggregator::ingest(const std::vector<std::uint8_t>& buffer) {
@@ -212,68 +256,74 @@ void Aggregator::ingest(const std::vector<std::uint8_t>& buffer) {
     }
   }
 
-  StackStats& stack = summary_.stacks[frame.stack_id];
-  stack.frames += 1;
-  stack.last_sim_time = frame.sim_time;
-  auto [seq_it, first_frame] =
-      next_sequence_.try_emplace(frame.stack_id, frame.sequence);
+  auto [stack_it, first_frame] = stacks_.try_emplace(frame.stack_id);
+  StackState& stack = stack_it->second;
+  if (first_frame) stack.stats = &summary_.stacks[frame.stack_id];
+  StackStats& stats = *stack.stats;
+  stats.frames += 1;
+  stats.last_sim_time = frame.sim_time;
   if (first_frame) {
     // Sequences start at 0, so a first arrival at seq > 0 means the ring
     // evicted the stack's opening frames before we drained them.
-    stack.missed += frame.sequence;
+    stats.missed += frame.sequence;
     metrics.missed.add(frame.sequence);
-  } else if (frame.sequence > seq_it->second) {
-    stack.missed += frame.sequence - seq_it->second;
-    metrics.missed.add(frame.sequence - seq_it->second);
+  } else if (frame.sequence > stack.next_sequence) {
+    stats.missed += frame.sequence - stack.next_sequence;
+    metrics.missed.add(frame.sequence - stack.next_sequence);
   }
-  seq_it->second = frame.sequence + 1;
-  stack.next_sequence = std::max(stack.next_sequence, frame.sequence + 1);
+  stack.next_sequence = frame.sequence + 1;
+  stats.next_sequence = std::max(stats.next_sequence, frame.sequence + 1);
+
+  if (stack.sites.size() < frame.readings.size()) {
+    stack.sites.resize(frame.readings.size());
+  }
+  map_dies(stack, frame);
 
   // Per-die fold + runaway bookkeeping input (hottest sensed site per die).
-  std::map<std::size_t, std::pair<double, std::size_t>> die_max;
-  for (const auto& r : frame.readings) {
-    DieStats& die = stack.dies[r.die];
-    die.sensed_c.add(r.sensed.value());
+  reported_slots_.clear();
+  for (std::size_t k = 0; k < frame.readings.size(); ++k) {
+    const auto& r = frame.readings[k];
+    DieState& die = stack.dies[die_slot_[k]];
+    die.stats->sensed_c.add(r.sensed.value());
     if (r.degraded) {
-      die.degraded_error_c.add(r.error());
+      die.stats->degraded_error_c.add(r.error());
       summary_.substituted_readings += 1;
     } else {
-      die.error_c.add(r.error());
+      die.stats->error_c.add(r.error());
     }
 
     // Health-byte edge: the producer's supervisor changed its verdict on
     // this site since the last frame we saw.
-    const auto health_it =
-        summary_.site_health
-            .try_emplace(std::make_pair(frame.stack_id, r.site_index),
-                         core::HealthState::kHealthy)
-            .first;
+    SiteState& site = stack.sites[r.site_index];
     const auto state_now = static_cast<core::HealthState>(r.health);
-    if (health_it->second != state_now) {
+    if (site.health != state_now) {
       HealthEvent event;
       event.stack_id = frame.stack_id;
       event.die = r.die;
       event.site_index = r.site_index;
-      event.from = health_it->second;
+      event.from = site.health;
       event.to = state_now;
       event.sim_time = frame.sim_time;
       summary_.health_transitions.push_back(event);
-      health_it->second = state_now;
+      site.health = state_now;
       metrics.health_events.inc();
       if (on_health_) on_health_(event);
     }
 
-    auto [it, inserted] =
-        die_max.try_emplace(r.die, r.sensed.value(), r.site_index);
-    if (!inserted && r.sensed.value() > it->second.first) {
-      it->second = {r.sensed.value(), r.site_index};
+    if (die.peak_frame != stats.frames) {
+      die.peak_frame = stats.frames;
+      die.peak_c = r.sensed.value();
+      die.peak_site = r.site_index;
+      reported_slots_.push_back(die_slot_[k]);
+    } else if (r.sensed.value() > die.peak_c) {
+      die.peak_c = r.sensed.value();
+      die.peak_site = r.site_index;
     }
 
-    SiteState& site = sites_[{frame.stack_id, r.site_index}];
     // Over-temperature: edge-triggered on threshold crossing.
     const bool over = r.sensed.value() > config_.alert_threshold.value();
     if (over && !site.over_temperature) {
-      raise(AlertKind::kOverTemperature, frame, r.die, r.site_index,
+      raise(AlertKind::kOverTemperature, frame, stats, r.die, r.site_index,
             r.sensed.value());
     }
     site.over_temperature = over;
@@ -281,30 +331,33 @@ void Aggregator::ingest(const std::vector<std::uint8_t>& buffer) {
     site.degraded_streak = r.degraded ? site.degraded_streak + 1 : 0;
     if (site.degraded_streak >= config_.dead_scan_limit && !site.dead) {
       site.dead = true;
-      raise(AlertKind::kDeadSensor, frame, r.die, r.site_index,
+      raise(AlertKind::kDeadSensor, frame, stats, r.die, r.site_index,
             static_cast<double>(site.degraded_streak));
     }
     if (!r.degraded) site.dead = false;
   }
 
   // Runaway: the die's peak sensed temperature climbing faster than
-  // config_.runaway_rate between consecutive frames.
-  for (const auto& [die, peak] : die_max) {
-    DieRunaway& state = runaway_[{frame.stack_id, die}];
-    if (state.primed) {
-      const double dt = (frame.sim_time - state.last_time).value();
+  // config_.runaway_rate between consecutive frames, judged in ascending
+  // die order (stack.dies is sorted, so slot order is die order).
+  std::sort(reported_slots_.begin(), reported_slots_.end());
+  for (const std::size_t slot : reported_slots_) {
+    DieState& die = stack.dies[slot];
+    if (die.primed) {
+      const double dt = (frame.sim_time - die.last_time).value();
       if (dt > 0.0) {
-        const double rate = (peak.first - state.last_max_c) / dt;
-        if (rate > config_.runaway_rate && !state.alerting) {
-          state.alerting = true;
-          raise(AlertKind::kThermalRunaway, frame, die, peak.second, rate);
+        const double rate = (die.peak_c - die.last_max_c) / dt;
+        if (rate > config_.runaway_rate && !die.alerting) {
+          die.alerting = true;
+          raise(AlertKind::kThermalRunaway, frame, stats, die.die,
+                die.peak_site, rate);
         }
-        if (rate <= config_.runaway_rate) state.alerting = false;
+        if (rate <= config_.runaway_rate) die.alerting = false;
       }
     }
-    state.last_max_c = peak.first;
-    state.last_time = frame.sim_time;
-    state.primed = true;
+    die.last_max_c = die.peak_c;
+    die.last_time = frame.sim_time;
+    die.primed = true;
   }
 
   // Spatial leave-one-out cross-check within the scan.
@@ -315,9 +368,9 @@ void Aggregator::ingest(const std::vector<std::uint8_t>& buffer) {
     const auto verdicts = fault_detector_.analyze(frame.readings);
     for (std::size_t i = 0; i < verdicts.size(); ++i) {
       const auto& verdict = verdicts[i];
-      SiteState& site = sites_[{frame.stack_id, verdict.site_index}];
+      SiteState& site = stack.sites[verdict.site_index];
       if (verdict.suspect && !site.spatial_suspect) {
-        raise(AlertKind::kSpatialSuspect, frame, frame.readings[i].die,
+        raise(AlertKind::kSpatialSuspect, frame, stats, frame.readings[i].die,
               verdict.site_index, verdict.deviation.value());
       }
       site.spatial_suspect = verdict.suspect;

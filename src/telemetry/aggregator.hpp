@@ -25,6 +25,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/fault_detector.hpp"
@@ -173,9 +174,6 @@ class Aggregator {
     std::uint64_t latency_aligned = 0;
     /// Health-byte edges observed on the wire, in arrival order.
     std::vector<HealthEvent> health_transitions;
-    /// Last health state seen per (stack, site).
-    std::map<std::pair<std::uint32_t, std::size_t>, core::HealthState>
-        site_health;
     /// Readings that arrived flagged degraded (substitutes + failed
     /// conversions).
     std::uint64_t substituted_readings = 0;
@@ -202,32 +200,58 @@ class Aggregator {
   }
 
  private:
-  void collect(std::vector<FrameRing*> rings);
-  void raise(AlertKind kind, const Frame& frame, std::size_t die,
-             std::size_t site, double value);
-
-  /// Per-site edge/streak state for alert re-arming.
+  /// Per-site edge/streak state for alert re-arming, and the last health
+  /// state seen on the wire.
   struct SiteState {
     bool over_temperature = false;
     std::size_t degraded_streak = 0;
     bool dead = false;
     bool spatial_suspect = false;
+    core::HealthState health = core::HealthState::kHealthy;
   };
-  struct DieRunaway {
+  /// One die of a stack: its statistics, its runaway state, and its hottest
+  /// reading in the frame being ingested.
+  struct DieState {
+    std::size_t die = 0;
+    DieStats* stats = nullptr;  // node of StackStats::dies
     double last_max_c = 0.0;
     Second last_time{0.0};
     bool primed = false;
     bool alerting = false;
+    /// StackStats::frames of the frame the peak belongs to.
+    std::uint64_t peak_frame = 0;
+    double peak_c = 0.0;
+    std::size_t peak_site = 0;
   };
+  /// Everything the collector keeps per stack.  Sites are indexed by the
+  /// wire site_index, which decode bounds by the frame's site count; dies
+  /// are wire values too, so they are kept sorted and searched, never used
+  /// as an index.
+  struct StackState {
+    StackStats* stats = nullptr;  // node of Summary::stacks
+    /// One past the sequence of the last frame ingested.
+    std::uint64_t next_sequence = 0;
+    std::vector<SiteState> sites;
+    std::vector<DieState> dies;  // ascending die
+  };
+
+  void collect(std::vector<FrameRing*> rings);
+  void raise(AlertKind kind, const Frame& frame, StackStats& stack,
+             std::size_t die, std::size_t site, double value);
+  /// Fill die_slot_ with each reading's index into stack.dies, adding the
+  /// dies the stack has not reported before.
+  void map_dies(StackState& stack, const Frame& frame);
 
   Config config_;
   AlertCallback on_alert_;
   HealthCallback on_health_;
   core::FaultDetector fault_detector_;
   Summary summary_;
-  std::map<std::pair<std::uint32_t, std::size_t>, SiteState> sites_;
-  std::map<std::pair<std::uint32_t, std::size_t>, DieRunaway> runaway_;
-  std::map<std::uint32_t, std::uint64_t> next_sequence_;
+  std::unordered_map<std::uint32_t, StackState> stacks_;
+  /// Per-frame scratch, reused across frames: each reading's slot in
+  /// StackState::dies, and the slots of the dies the frame reports.
+  std::vector<std::size_t> die_slot_;
+  std::vector<std::size_t> reported_slots_;
 
   std::thread collector_;
   std::atomic<bool> stop_requested_{false};

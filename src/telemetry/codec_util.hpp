@@ -10,44 +10,13 @@
 // promise starts here.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 namespace tsvpt::telemetry {
-
-namespace detail {
-
-[[nodiscard]] inline const std::uint32_t* crc32_table() {
-  static const auto table = [] {
-    struct Table {
-      std::uint32_t entries[256];
-    } t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t.entries[i] = c;
-    }
-    return t;
-  }();
-  return table.entries;
-}
-
-}  // namespace detail
-
-/// CRC-32 (reflected 0xEDB88320, init/final 0xFFFFFFFF — the zlib CRC).
-[[nodiscard]] inline std::uint32_t crc32(const std::uint8_t* data,
-                                         std::size_t size) {
-  const std::uint32_t* table = detail::crc32_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 /// Map a signed delta onto an unsigned value with small magnitudes staying
 /// small (…, -2 -> 3, -1 -> 1, 0 -> 0, 1 -> 2, 2 -> 4, …), so varint
@@ -142,6 +111,54 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
 
 [[nodiscard]] inline double get_f64(const std::uint8_t* data) {
   return std::bit_cast<double>(get_u64(data));
+}
+
+namespace detail {
+
+/// Slice-by-8 tables for the reflected IEEE polynomial: [0] is the
+/// byte-at-a-time table, and [k][b] advances byte b's CRC past k more zero
+/// bytes.
+[[nodiscard]] inline const std::array<std::array<std::uint32_t, 256>, 8>&
+crc32_tables() {
+  static const auto tables = [] {
+    std::array<std::array<std::uint32_t, 256>, 8> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::size_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+      }
+    }
+    return t;
+  }();
+  return tables;
+}
+
+}  // namespace detail
+
+/// CRC-32 (reflected 0xEDB88320, init/final 0xFFFFFFFF — the zlib CRC),
+/// eight bytes per step: the next eight bytes are folded into the register
+/// and each is looked up in the table that carries it past the rest.
+[[nodiscard]] inline std::uint32_t crc32(const std::uint8_t* data,
+                                         std::size_t size) {
+  const auto& t = detail::crc32_tables();
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ get_u32(data);
+    const std::uint32_t hi = get_u32(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
 }
 
 /// Bounds-checked cursor over a byte buffer: every read either succeeds and

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "ptsim/stats.hpp"
@@ -26,8 +27,6 @@ DieEnvironment environment(double t_celsius, double dvtn_mv, double dvtp_mv) {
 }
 
 TEST(PtSensor, ModelFrequencyMatchesOscillatorBank) {
-  // The oscillator keeps a pointer to its technology card, so the card must
-  // outlive it (a temporary config's card would dangle).
   const PtSensor::Config cfg = clean_config();
   const PtSensor sensor{cfg, 1};
   const circuit::RingOscillator tdro = circuit::RingOscillator::make(
@@ -40,6 +39,25 @@ TEST(PtSensor, ModelFrequencyMatchesOscillatorBank) {
                              Kelvin{320.0})
           .value(),
       tdro.frequency(op).value());
+}
+
+TEST(PtSensor, CopyConvertsAfterItsSourceIsDestroyed) {
+  // A copy's oscillator bank must not read the source's technology card
+  // (ASan reports the use after free when it does).
+  const DieEnvironment env = environment(55.0, 0.0, 0.0);
+  auto source = std::make_unique<PtSensor>(clean_config(), 11);
+  (void)source->self_calibrate(env, nullptr);
+  PtSensor copy = *source;
+  source.reset();
+  PtSensor twin{clean_config(), 11};
+  (void)twin.self_calibrate(env, nullptr);
+  const TemperatureReading want =
+      twin.read(env.at_celsius(Celsius{70.0}), nullptr);
+  const TemperatureReading got =
+      copy.read(env.at_celsius(Celsius{70.0}), nullptr);
+  EXPECT_EQ(got.temperature.value(), want.temperature.value());
+  EXPECT_EQ(got.energy.value(), want.energy.value());
+  EXPECT_NEAR(got.temperature.value(), 70.0, 0.7);
 }
 
 TEST(PtSensor, SelfCalibrationRecoversStateNoiseFree) {

@@ -214,6 +214,42 @@ TEST(FleetAggregation, SequenceGapsCountAsMissed) {
   EXPECT_EQ(agg.summary().stacks.at(7).frames, 3u);
 }
 
+TEST(FleetAggregation, WireIdsAreKeysNotIndexesAndRunawayKeepsDieOrder) {
+  // stack_id and die are any u32 off the wire; a stack's site count may
+  // grow between frames.  Runaway is judged per die in ascending die order
+  // whatever the order the frame lists them in.
+  Aggregator::Config cfg;
+  cfg.spatial_check = false;
+  std::vector<Alert> alerts;
+  Aggregator agg{cfg, [&](const Alert& a) { alerts.push_back(a); }};
+  const std::uint32_t stack = 0xFFFFFFFFu;
+  const std::size_t dies[] = {0xFFFFFFFFu, 7, 0xFFFF0000u, 7};
+  auto frame = [&](std::uint64_t seq, std::size_t sites, double t_c) {
+    const double t_s = 0.01 * static_cast<double>(seq + 1);
+    Frame f = synthetic_frame(stack, seq, t_s, std::vector<double>(sites, t_c));
+    for (std::size_t i = 0; i < sites; ++i) f.readings[i].die = dies[i % 4];
+    return f;
+  };
+  agg.ingest(encode(frame(0, 2, 30.0)));
+  agg.ingest(encode(frame(1, 4, 31.0)));
+  agg.ingest(encode(frame(2, 4, 60.0)));  // 2900 C/s on every die
+  const auto& sum = agg.summary();
+  EXPECT_EQ(sum.decode_errors, 0u);
+  ASSERT_EQ(sum.stacks.count(stack), 1u);
+  const auto& stats = sum.stacks.at(stack);
+  EXPECT_EQ(stats.frames, 3u);
+  EXPECT_EQ(stats.missed, 0u);
+  ASSERT_EQ(stats.dies.size(), 3u);
+  EXPECT_EQ(stats.dies.at(7).sensed_c.count(), 1u + 2u + 2u);
+  ASSERT_EQ(alerts.size(), 3u);
+  const std::size_t ascending[] = {7, 0xFFFF0000u, 0xFFFFFFFFu};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(alerts[i].kind, AlertKind::kThermalRunaway);
+    EXPECT_EQ(alerts[i].stack_id, stack);
+    EXPECT_EQ(alerts[i].die, ascending[i]);
+  }
+}
+
 TEST(FleetAggregation, GarbageCountsAsDecodeError) {
   Aggregator agg{Aggregator::Config{}};
   agg.ingest(std::vector<std::uint8_t>{1, 2, 3});

@@ -53,6 +53,36 @@ TEST(TelemetryFrame, Crc32KnownVector) {
             0xCBF43926u);
 }
 
+/// Byte-at-a-time CRC-32, the reference the table-driven crc32 must equal.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(TelemetryFrame, Crc32MatchesByteAtATimeReference) {
+  // Every length across several 8-byte steps plus each tail, at every
+  // alignment of the start.
+  std::vector<std::uint8_t> bytes(8 + 67);
+  std::uint32_t x = 0x12345678u;
+  for (std::uint8_t& b : bytes) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 67; ++length) {
+      const std::uint8_t* data = bytes.data() + offset;
+      EXPECT_EQ(crc32(data, length), reference_crc32(data, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
 TEST(TelemetryFrame, RoundTrip) {
   const Frame original = sample_frame();
   const std::vector<std::uint8_t> wire = encode(original);
