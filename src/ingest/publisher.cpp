@@ -1,5 +1,6 @@
 #include "ingest/publisher.hpp"
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -324,6 +325,9 @@ bool FleetPublisher::ensure_connected() {
   }
   net::set_nodelay(socket_);
   net::set_nonblocking(socket_, true);
+  net::enable_rx_timestamps(socket_);
+  net::enable_tx_timestamps(socket_);
+  stream_bytes_ = 0;
   backoff_armed_ = false;
   backoff_ = config_.backoff_initial;
   ack_parser_ = net::AckParser{};  // ack frames never span connections
@@ -354,14 +358,16 @@ void FleetPublisher::on_connection_lost() {
   arm_backoff();
 }
 
-void FleetPublisher::handle_ack(const net::AckFrame& ack) {
+void FleetPublisher::handle_ack(const net::AckFrame& ack,
+                                std::uint64_t rx_ns) {
   acks_received_.fetch_add(1, std::memory_order_relaxed);
   metrics_of().acks.inc();
   if (ack.timestamped()) {
-    // The four NTP timestamps: our send stamp echoed back (t1), the
-    // server's receive/transmit stamps (t2, t3), and now (t4).
-    clock_align_.update(ack.echo_send_ns, ack.srv_rx_ns, ack.srv_tx_ns,
-                        obs::monotonic_ns());
+    // The four NTP timestamps: when the echoed batch left (t1), the
+    // server's receive/transmit stamps (t2, t3), and the ack's arrival (t4).
+    // Done before the retire loop below, which drops the echoed batch.
+    clock_align_.update(departure_of(ack.echo_send_ns), ack.srv_rx_ns,
+                        ack.srv_tx_ns, rx_ns);
     clock_offset_ns_.store(clock_align_.offset_ns(),
                            std::memory_order_relaxed);
     clock_rtt_ns_.store(clock_align_.min_rtt_ns(), std::memory_order_relaxed);
@@ -395,15 +401,55 @@ void FleetPublisher::handle_ack(const net::AckFrame& ack) {
   }
 }
 
+void FleetPublisher::note_departure(const net::TxStamp& stamp) {
+  if (stream_bytes_ == 0) return;
+  // The stamp names its byte mod 2^32 and unacked_ spans far less of the
+  // stream than that, so the byte is the latest offset with those low bits.
+  const std::uint64_t last = stream_bytes_ - 1;
+  const std::uint64_t byte =
+      last - static_cast<std::uint32_t>(static_cast<std::uint32_t>(last) -
+                                        stamp.last_byte);
+  // unacked_ is in send order, so its stream ends ascend.  A stamp that
+  // ends no batch (a partial write, a control batch) matches nothing.  A
+  // byte sent twice (a retransmitted segment) keeps its first stamp, so a
+  // forward leg is never shortened.
+  const auto it = std::lower_bound(
+      unacked_.begin(), unacked_.end(), byte + 1,
+      [](const Batch& b, std::uint64_t end) { return b.stream_end < end; });
+  if (it != unacked_.end() && it->stream_end == byte + 1 &&
+      it->departed_ns == 0) {
+    it->departed_ns = stamp.tx_ns;
+  }
+}
+
+std::uint64_t FleetPublisher::departure_of(std::uint64_t send_ns) const {
+  // Send stamps ascend along unacked_ as well.
+  const auto it = std::lower_bound(
+      unacked_.begin(), unacked_.end(), send_ns,
+      [](const Batch& b, std::uint64_t ns) { return b.send_ns < ns; });
+  if (it != unacked_.end() && it->send_ns == send_ns && it->departed_ns != 0) {
+    return it->departed_ns;
+  }
+  return send_ns;
+}
+
 bool FleetPublisher::poll_acks() {
   if (!socket_.valid()) return true;
+  // TX stamps first: a batch leaves before its ack can come back, so the
+  // acks read below find their batches' departures already recorded.
+  net::TxStamp stamp;
+  while (net::recv_tx_stamp(socket_, stamp)) note_departure(stamp);
   std::uint8_t chunk[512];
   for (;;) {
     const net::IoResult r = net::recv_some(socket_, chunk, sizeof(chunk));
     if (r.status == net::IoStatus::kWouldBlock) return true;
     if (r.status != net::IoStatus::kOk) return false;  // peer gone
+    // The kernel's arrival stamp, not the read time: acks wait unread while
+    // the caller is busy between pumps or blocked in a send, and a late t4
+    // would bias the clock offset by half that wait.
+    const std::uint64_t rx_ns = r.rx_ns != 0 ? r.rx_ns : obs::monotonic_ns();
     const net::AckStatus status = ack_parser_.consume(
-        chunk, r.bytes, [this](const net::AckFrame& ack) {
+        chunk, r.bytes, [this, rx_ns](const net::AckFrame& ack) {
           net::AckAction action;
           if (config_.hook != nullptr) action = config_.hook->on_ack(ack);
           if (action.delay_seconds > 0.0) {
@@ -414,7 +460,7 @@ bool FleetPublisher::poll_acks() {
             hook_acks_dropped_.fetch_add(1, std::memory_order_relaxed);
             return;
           }
-          handle_ack(ack);
+          handle_ack(ack, rx_ns);
         });
     if (status != net::AckStatus::kOk) return false;  // poisoned: reconnect
     if (!socket_.valid()) return true;  // a nack closed it mid-chunk
@@ -457,7 +503,7 @@ bool FleetPublisher::send_batch(Batch& batch) {
   // same trace_id, which TraceMerge lines up on one timeline.
   const obs::ObsSpan span{"pub", "batch_send", metrics_of().send_seconds,
                           batch.trace_id};
-  if (!net::send_all(socket_, batch.bytes.data(), limit)) {
+  if (!send_wire(batch.bytes.data(), limit)) {
     // Connection died mid-send: the batch stays queued for retransmit
     // after reconnect (the server discards whatever partial tail it saw).
     send_failures_.fetch_add(1, std::memory_order_relaxed);
@@ -480,7 +526,7 @@ bool FleetPublisher::send_batch(Batch& batch) {
     // dedup must swallow the copy; any frame double-count is a bug this
     // seam exists to catch.
     hook_duplicated_.fetch_add(1, std::memory_order_relaxed);
-    if (!net::send_all(socket_, batch.bytes.data(), batch.bytes.size())) {
+    if (!send_wire(batch.bytes.data(), batch.bytes.size())) {
       send_failures_.fetch_add(1, std::memory_order_relaxed);
       on_connection_lost();
       // The original send completed: fall through to bookkeeping.
@@ -500,11 +546,39 @@ bool FleetPublisher::send_batch(Batch& batch) {
   metrics_of().bytes.add(batch.bytes.size());
   batch.sent_before = true;
   batch.sent_at = Clock::now();
+  // The server echoes the copy it parsed last, so the stream end is that
+  // of the last copy sent.
+  batch.send_ns = send_ns;
+  batch.stream_end = stream_bytes_;
+  batch.departed_ns = 0;
   unacked_.push_back(std::move(batch));
   unacked_depth_.store(unacked_.size(), std::memory_order_relaxed);
   if (action.drop_connection) {
     hook_dropped_.fetch_add(1, std::memory_order_relaxed);
     socket_.close();
+  }
+  return true;
+}
+
+bool FleetPublisher::send_wire(const std::uint8_t* data, std::size_t size) {
+  std::size_t sent = 0;
+  while (sent < size) {
+    const net::IoResult r = net::send_some(socket_, data + sent, size - sent);
+    if (r.status == net::IoStatus::kOk) {
+      sent += r.bytes;
+      stream_bytes_ += r.bytes;
+      continue;
+    }
+    if (r.status != net::IoStatus::kWouldBlock) return false;
+    // Full kernel buffer: wait for room, but read acks and TX stamps as
+    // they come rather than after the whole send.  An unread stamp alone
+    // wakes poll() with POLLERR, so it is drained here, not spun on.
+    pollfd pfd{socket_.fd(), POLLIN | POLLOUT, 0};
+    ::poll(&pfd, 1, 50);
+    if ((pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0 &&
+        (!poll_acks() || !socket_.valid())) {
+      return false;
+    }
   }
   return true;
 }
@@ -532,7 +606,7 @@ void FleetPublisher::send_control(std::uint16_t flags, std::uint64_t seq) {
   meta.seq = seq;
   meta.flags = flags;
   const std::vector<std::uint8_t> wire = net::encode_batch({}, meta);
-  if (!net::send_all(socket_, wire.data(), wire.size())) {
+  if (!send_wire(wire.data(), wire.size())) {
     send_failures_.fetch_add(1, std::memory_order_relaxed);
     on_connection_lost();
     return;

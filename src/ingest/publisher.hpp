@@ -219,6 +219,12 @@ class FleetPublisher {
     /// Already sent at least once (its next send is a retransmit).
     bool sent_before = false;
     std::chrono::steady_clock::time_point sent_at{};
+    /// Header send stamp of the latest send: t1 as the server echoes it.
+    std::uint64_t send_ns = 0;
+    /// Offset one past the batch's last byte in its connection's stream.
+    std::uint64_t stream_end = 0;
+    /// When that last byte left this host (kernel TX stamp); 0 = not known.
+    std::uint64_t departed_ns = 0;
   };
 
   void run(std::vector<telemetry::FrameRing*> rings);
@@ -229,9 +235,19 @@ class FleetPublisher {
   bool try_send_pending();
   bool send_batch(Batch& batch);
   void send_control(std::uint16_t flags, std::uint64_t seq);
-  /// Drain any acks sitting in the socket; false when the connection died.
+  /// Hand `size` bytes to the socket.  While its buffer is full, keep
+  /// reading acks and TX stamps; false when the connection died.
+  bool send_wire(const std::uint8_t* data, std::size_t size);
+  /// Drain the TX stamps and acks sitting in the socket; false when the
+  /// connection died.
   bool poll_acks();
-  void handle_ack(const net::AckFrame& ack);
+  /// Record a TX stamp on the unacked batch whose last byte it names.
+  void note_departure(const net::TxStamp& stamp);
+  /// t1 of the clock exchange for the batch stamped `send_ns`: when it
+  /// left this host if the kernel said so, else its header stamp.
+  [[nodiscard]] std::uint64_t departure_of(std::uint64_t send_ns) const;
+  /// `rx_ns`: when the ack arrived (t4 of the clock exchange).
+  void handle_ack(const net::AckFrame& ack, std::uint64_t rx_ns);
   void on_connection_lost();
   void arm_backoff();
 
@@ -253,6 +269,9 @@ class FleetPublisher {
   /// Per-connection NTP-style offset estimator fed by ack v2 timestamps
   /// (reset on reconnect — new socket, new queues).
   obs::ClockAlign clock_align_;
+  /// Bytes handed to the current connection (TX stamps name a byte by its
+  /// offset in this stream).
+  std::uint64_t stream_bytes_ = 0;
   bool fin_inflight_ = false;
   std::chrono::steady_clock::time_point last_send_;
 

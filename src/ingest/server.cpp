@@ -21,6 +21,10 @@ namespace {
 constexpr int kPollTimeoutMs = 10;
 constexpr std::size_t kRecvChunk = 64 * 1024;
 
+// route_frame appends the shard-ring trailer in the parser's headroom, so a
+// frame is not reallocated and copied on its way into the ring.
+static_assert(telemetry::kRingTrailerSize <= net::kFrameHeadroom);
+
 struct ServerMetrics {
   obs::Counter connections = obs::counter("tsvpt_ingest_connections_total");
   obs::Counter batches = obs::counter("tsvpt_ingest_batches_total");
@@ -216,7 +220,10 @@ bool IngestServer::handle_batch_info(Connection& conn,
   if (info.send_ns != 0) {
     const std::uint64_t rx = static_cast<std::uint64_t>(now_ns());
     conn.echo_send_ns = info.send_ns;
-    conn.echo_rx_ns = rx;
+    // t2 is the batch's arrival, not this parse: a batch queued in the
+    // socket while the IO thread was busy would add its wait to the
+    // forward leg and bias the publisher's offset by half of it.
+    conn.echo_rx_ns = conn.chunk_rx_ns;
     cur_offset_ns_ = info.offset_ns;
     cur_offset_valid_ = info.offset_valid();
     obs::instant("ingest", "batch_rx", info.trace_id);
@@ -376,6 +383,7 @@ void IngestServer::run() {
         if (!accepted.valid()) break;
         net::set_nonblocking(accepted, true);
         net::set_nodelay(accepted);
+        net::enable_rx_timestamps(accepted);
         Connection conn;
         conn.socket = std::move(accepted);
         conn.last_rx = std::chrono::steady_clock::now();
@@ -417,6 +425,8 @@ void IngestServer::run() {
         if (r.status == net::IoStatus::kOk) {
           touch_activity();
           conn.last_rx = std::chrono::steady_clock::now();
+          conn.chunk_rx_ns =
+              r.rx_ns != 0 ? r.rx_ns : static_cast<std::uint64_t>(now_ns());
           bytes_total_.fetch_add(r.bytes, std::memory_order_relaxed);
           metrics_of().bytes.add(r.bytes);
           // Re-bound the veto seam every chunk: `conn` is a reference into

@@ -64,6 +64,28 @@ void set_nonblocking(const Socket& socket, bool enabled);
 /// Disable Nagle so small alert-bearing batches are not held back.
 void set_nodelay(const Socket& socket);
 
+/// Have the kernel stamp every segment the socket receives, so recv_some
+/// reports when the bytes it returns arrived rather than when they were
+/// read (IoResult::rx_ns).
+void enable_rx_timestamps(const Socket& socket);
+
+/// Have the kernel stamp when the last byte of each send leaves this host
+/// (read back with recv_tx_stamp).  An unread stamp makes poll() report
+/// POLLERR.
+void enable_tx_timestamps(const Socket& socket);
+
+/// When the last byte of one send left this host.
+struct TxStamp {
+  /// That byte's offset in the stream since enable_tx_timestamps, mod 2^32.
+  std::uint32_t last_byte = 0;
+  /// steady_clock ns.
+  std::uint64_t tx_ns = 0;
+};
+
+/// Pop the oldest TX stamp off the socket's error queue; false when none
+/// is left.
+[[nodiscard]] bool recv_tx_stamp(const Socket& socket, TxStamp& stamp);
+
 enum class IoStatus : std::uint8_t {
   kOk,          // bytes transferred (see IoResult::bytes)
   kWouldBlock,  // non-blocking socket had no data / no buffer space
@@ -74,6 +96,9 @@ enum class IoStatus : std::uint8_t {
 struct IoResult {
   IoStatus status = IoStatus::kError;
   std::size_t bytes = 0;
+  /// recv_some on a socket with enable_rx_timestamps: when the last segment
+  /// read arrived, steady_clock ns.  0 otherwise.
+  std::uint64_t rx_ns = 0;
 };
 
 /// One recv() with EINTR retry.  kOk implies bytes > 0.

@@ -2,12 +2,19 @@
 //
 // Publisher and server each read their own CLOCK_MONOTONIC; to stitch their
 // traces (and attribute cross-process latency) we need the offset between
-// the two clocks.  Every acked batch yields the four classic timestamps:
+// the two clocks.  Every acked batch yields the four classic timestamps.
+// t1, t2 and t4 are kernel packet stamps, taken where the bytes cross a
+// host's network stack, so time a batch or an ack spends queued in a
+// socket, or unread by a busy thread, counts on neither leg:
 //
-//   t1  publisher stamps the batch header at send     (send_ns, v3 header)
-//   t2  server stamps the batch on parse              (srv_rx_ns, v2 ack)
+//   t1  the batch's last byte leaves the publisher    (kernel TX stamp; the
+//       header's send_ns, echoed in the ack, names the batch)
+//   t2  that byte reaches the server                  (srv_rx_ns, v2 ack)
 //   t3  server stamps the ack when it builds it       (srv_tx_ns, v2 ack)
-//   t4  publisher stamps the ack on receipt           (local clock)
+//   t4  the ack reaches the publisher                 (kernel RX stamp)
+//
+// Without kernel stamps t1, t2 and t4 fall back to the header stamp, the
+// server's parse and the publisher's read.
 //
 //   offset = ((t2 - t1) - (t4 - t3)) / 2      server_clock - publisher_clock
 //   rtt    = (t4 - t1) - (t3 - t2)            pure wire+queue time

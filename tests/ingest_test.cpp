@@ -4,7 +4,10 @@
 // deterministic transport chaos replay.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -14,6 +17,8 @@
 #include "ingest/server.hpp"
 #include "inject/fault_plan.hpp"
 #include "inject/injectors.hpp"
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/fleet_sampler.hpp"
 #include "telemetry/frame.hpp"
@@ -245,6 +250,141 @@ TEST(IngestLoopback, ReconnectResumesWithoutLoss) {
   EXPECT_EQ(view.frames(), wire.size());
   EXPECT_EQ(view.missed(), 0u);  // clean drops lose nothing
   EXPECT_EQ(view.digest(), baseline_view(wire, {}).digest());
+}
+
+TEST(IngestLoopback, ClockOffsetIgnoresLateAckReads) {
+  // Publisher and server read one steady clock, so the true offset is 0.
+  // Every ack waits 40 ms in the publisher's socket before a pump reads
+  // it; an offset built on the read time would sit near -20 ms.
+  IngestServer server(IngestServer::Config{});
+  server.start();
+  FleetPublisher::Config config;
+  config.port = server.port();
+  FleetPublisher pub(config);
+  constexpr std::uint64_t kBatches = 4;
+  for (std::uint64_t seq = 0; seq < kBatches; ++seq) {
+    pub.offer(make_wire_frame(1, seq));
+    pub.flush();
+    ASSERT_TRUE(pub.pump());
+    for (int i = 0; i < 5000 && server.stats().acks_sent <= seq; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_GT(server.stats().acks_sent, seq);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    (void)pub.pump();
+  }
+  const FleetPublisher::Stats stats = pub.stats();
+  server.stop();
+  EXPECT_EQ(stats.clock_samples, kBatches);
+  EXPECT_LT(std::llabs(stats.clock_offset_ns), 5'000'000);
+}
+
+TEST(IngestLoopback, ClockOffsetIgnoresBatchesWaitingForTheServer) {
+  // Publisher B sends one small batch just after A's batch of 50,000
+  // frames, which the server IO thread then spends tens of ms decoding
+  // into the historian.  B's batch waits in its socket meanwhile; counting
+  // that wait as wire time would put B's estimate well above 0.
+  const auto store_dir =
+      std::filesystem::path{testing::TempDir()} / "clock_offset_store";
+  std::filesystem::remove_all(store_dir);
+  IngestServer::Config server_cfg;
+  server_cfg.store_dir = store_dir.string();
+  IngestServer server(server_cfg);
+  server.start();
+  FleetPublisher::Config config;
+  config.port = server.port();
+  config.batch_max_frames = 1 << 20;
+  config.batch_max_bytes = std::size_t{64} << 20;
+  FleetPublisher a(config);
+  FleetPublisher b(config);
+  constexpr std::uint64_t kFrames = 50'000;
+  for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+    a.offer(make_wire_frame(1, seq));
+  }
+  a.flush();
+  EXPECT_TRUE(a.pump());
+  b.offer(make_wire_frame(2, 0));
+  b.flush();
+  EXPECT_TRUE(b.pump());
+  for (int i = 0; i < 10'000 && b.stats().clock_samples == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (void)b.pump();
+  }
+  const FleetPublisher::Stats stats = b.stats();
+  server.stop();
+  std::filesystem::remove_all(store_dir);
+  EXPECT_EQ(server.stats().frames, kFrames + 1);
+  EXPECT_GE(stats.clock_samples, 1u);
+  EXPECT_LT(std::llabs(stats.clock_offset_ns), 5'000'000);
+}
+
+TEST(IngestLoopback, ClockOffsetIgnoresBatchesQueuedInTheSocket) {
+  // A stand-in server reads nothing for 40 ms, so most of a ~1 MB batch
+  // waits in the publisher's socket behind a closed window, then acks it
+  // with its arrival stamp.  Counting that wait as wire time would put the
+  // estimate near +20 ms; the true offset is 0.
+  const auto steady_ns = [] {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
+  net::Socket listener = net::tcp_listen("127.0.0.1", 0);
+  net::set_nonblocking(listener, true);
+  const std::uint16_t port = net::local_port(listener);
+  std::thread stand_in([&] {
+    net::Socket conn;
+    for (int i = 0; i < 5000 && !conn.valid(); ++i) {
+      conn = net::tcp_accept(listener);
+      if (!conn.valid()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    ASSERT_TRUE(conn.valid());
+    net::enable_rx_timestamps(conn);
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    net::BatchParser parser;
+    net::AckFrame ack;
+    parser.set_batch_handler([&](const net::BatchInfo& info) {
+      ack.ack_seq = info.seq;
+      ack.echo_send_ns = info.send_ns;
+      return true;
+    });
+    std::vector<std::uint8_t> chunk(1 << 16);
+    while (parser.batches() == 0) {
+      const net::IoResult r = net::recv_some(conn, chunk.data(), chunk.size());
+      ASSERT_EQ(r.status, net::IoStatus::kOk);
+      ack.srv_rx_ns = r.rx_ns != 0 ? r.rx_ns : steady_ns();
+      ASSERT_EQ(parser.consume(chunk.data(), r.bytes,
+                               [](std::vector<std::uint8_t>&&) {}),
+                net::BatchStatus::kOk);
+    }
+    ack.srv_tx_ns = steady_ns();
+    const std::vector<std::uint8_t> wire = net::encode_ack(ack);
+    ASSERT_TRUE(net::send_all(conn, wire.data(), wire.size()));
+    while (net::recv_some(conn, chunk.data(), chunk.size()).status ==
+           net::IoStatus::kOk) {
+    }
+  });
+
+  FleetPublisher::Config config;
+  config.port = port;
+  config.batch_max_bytes = std::size_t{4} << 20;
+  FleetPublisher pub(config);
+  for (std::uint64_t seq = 0; seq < 20; ++seq) {
+    pub.offer(make_wire_frame(1, seq, 1000));
+  }
+  pub.flush();
+  EXPECT_TRUE(pub.pump());
+  for (int i = 0; i < 5000 && pub.stats().clock_samples == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    (void)pub.pump();
+  }
+  const FleetPublisher::Stats stats = pub.stats();
+  pub.disconnect();
+  stand_in.join();
+  EXPECT_EQ(stats.clock_samples, 1u);
+  EXPECT_LT(std::llabs(stats.clock_offset_ns), 5'000'000);
 }
 
 TEST(IngestLoopback, PartialBatchAtDisconnectIsDiscardedNotAnError) {
