@@ -19,7 +19,7 @@ int main() {
   bench::banner("A10", "TDM readout slot vs snapshot staleness");
   const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
   const thermal::Workload workload = thermal::Workload::burst_idle(
-      stack, Watt{8.0}, Watt{0.3}, Second{20e-3}, 6);
+      stack, Watt{8.0}, Watt{0.3}, Second{20e-3});
 
   Table table{"A10 snapshot error vs readout slot (16 sensors)"};
   table.add_column("slot_us", 1);
@@ -55,7 +55,7 @@ int main() {
     Samples conversion_errors;
     Samples snapshot_errors;
     double now = 0.0;
-    const double horizon = workload.total_duration().value();
+    const double horizon = 120e-3;  // six 20 ms burst/idle cycles
     while (now + 1e-9 < horizon) {
       // One scan: serialized site conversions.
       std::vector<core::StackMonitor::SiteReading> scan;

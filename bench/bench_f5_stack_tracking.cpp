@@ -26,7 +26,7 @@ int main() {
   const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
   thermal::ThermalNetwork network{stack};
   const thermal::Workload workload = thermal::Workload::burst_idle(
-      stack, Watt{6.0}, Watt{0.3}, Second{30e-3}, 4);
+      stack, Watt{6.0}, Watt{0.3}, Second{30e-3});
 
   // 2x2 sensor sites per die with realistic process variation + TSV stress.
   std::vector<core::SensorSite> sites =

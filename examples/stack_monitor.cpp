@@ -22,7 +22,7 @@ int main() {
   // Workload: 25 ms compute bursts (migrating hotspot on die 0) over a
   // 0.25 W idle floor on the AFE dies.
   const thermal::Workload workload = thermal::Workload::burst_idle(
-      stack, Watt{5.0}, Watt{0.25}, Second{50e-3}, 3);
+      stack, Watt{5.0}, Watt{0.25}, Second{50e-3});
 
   // Sensor sites: 2x2 per die, with realistic process variation and
   // TSV-stress shifts that grow with die thinning up the stack.

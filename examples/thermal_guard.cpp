@@ -43,7 +43,7 @@ std::vector<core::SensorSite> build_sites(const thermal::StackConfig& stack,
 int main() {
   const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
   const thermal::Workload hot = thermal::Workload::burst_idle(
-      stack, Watt{16.0}, Watt{1.0}, Second{60e-3}, 3);
+      stack, Watt{16.0}, Watt{1.0}, Second{60e-3});
 
   // Gated, a die keeps 25 % of its power; no unscalable floor, so the
   // command scales the die's whole map.

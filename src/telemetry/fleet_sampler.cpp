@@ -52,7 +52,6 @@ struct SamplerMetrics {
 struct FleetSampler::Stack {
   thermal::StackConfig geometry;
   thermal::ThermalNetwork network;
-  thermal::Workload workload;
   core::StackMonitor monitor;
   Rng noise;
   /// Present only when Config::supervise — owned by this stack's worker.
@@ -61,14 +60,13 @@ struct FleetSampler::Stack {
   Second now{0.0};
   std::uint64_t sequence = 0;
 
-  Stack(thermal::StackConfig geom, thermal::Workload load,
+  Stack(thermal::StackConfig geom, const thermal::Workload& workload,
         std::vector<core::SensorSite> sites,
         const core::PtSensor::Config& sensor, std::uint64_t seed,
         const core::HealthSupervisor::Config* health,
         control::Controller* controller)
       : geometry(std::move(geom)),
         network(geometry),
-        workload(std::move(load)),
         monitor(&network, sensor, std::move(sites), derive_seed(seed, 1)),
         noise(derive_seed(seed, 2)),
         supervisor(health != nullptr
@@ -78,7 +76,11 @@ struct FleetSampler::Stack {
              controller) {}
 };
 
-FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
+FleetSampler::FleetSampler(Config config)
+    : config_(std::move(config)),
+      workload_(thermal::Workload::burst_idle(
+          thermal::StackConfig::four_die_stack(), config_.peak_power,
+          config_.idle_power, config_.burst_period)) {
   if (config_.stack_count == 0) {
     throw std::invalid_argument{"FleetSampler: zero stacks"};
   }
@@ -107,11 +109,6 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
   for (std::size_t k = 0; k < config_.stack_count; ++k) {
     const std::uint64_t stack_seed = derive_seed(config_.seed, k);
     thermal::StackConfig geometry = thermal::StackConfig::four_die_stack();
-    thermal::Workload workload = thermal::Workload::burst_idle(
-        geometry, config_.peak_power, config_.idle_power,
-        config_.burst_period,
-        /*cycles=*/1'000'000);  // effectively unbounded; scans set duration
-
     std::vector<core::SensorSite> sites = core::StackMonitor::uniform_sites(
         geometry, config_.grid_columns, config_.grid_rows);
     const std::size_t per_die = config_.grid_columns * config_.grid_rows;
@@ -129,7 +126,7 @@ FleetSampler::FleetSampler(Config config) : config_(std::move(config)) {
       }
     }
     stacks_.push_back(std::make_unique<Stack>(
-        std::move(geometry), std::move(workload), std::move(sites),
+        std::move(geometry), workload_, std::move(sites),
         config_.sensor, stack_seed,
         config_.supervise ? &config_.health : nullptr,
         config_.control != nullptr ? &config_.control->controller(k)

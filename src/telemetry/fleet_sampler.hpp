@@ -1,6 +1,6 @@
 // Concurrent fleet sampling: N independent TSV stacks, each with its own
-// thermal network, workload and sensor monitor, advanced and scanned by a
-// pool of worker threads.  Every scan is encoded as a wire frame
+// thermal network and sensor monitor, all playing one shared burst/idle
+// workload, advanced and scanned by a pool of worker threads.  Every scan is encoded as a wire frame
 // (telemetry::encode) and published into the worker's lock-free ring, from
 // which the Aggregator's collector thread drains.
 //
@@ -204,6 +204,8 @@ class FleetSampler {
   void worker(std::size_t worker_index);
 
   Config config_;
+  /// One burst/idle period, borrowed by every stack's loop.
+  thermal::Workload workload_;
   std::vector<std::unique_ptr<Stack>> stacks_;
   std::vector<std::unique_ptr<FrameRing>> rings_;
   std::vector<std::unique_ptr<StallGate>> gates_;

@@ -1,5 +1,6 @@
 #include "thermal/workload.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace tsvpt::thermal {
@@ -10,18 +11,15 @@ Workload::Workload(std::vector<WorkloadPhase> phases)
     if (phase.duration.value() <= 0.0) {
       throw std::invalid_argument{"Workload: non-positive phase duration"};
     }
+    period_ += phase.duration;
   }
-}
-
-Second Workload::total_duration() const {
-  Second total{0.0};
-  for (const WorkloadPhase& phase : phases_) total += phase.duration;
-  return total;
 }
 
 std::size_t Workload::phase_at(Second t) const {
   if (phases_.empty()) throw std::logic_error{"Workload: empty"};
-  double remaining = t.value();
+  // fmod is exact, so folding adds no rounding of its own; the walk below
+  // then covers a single period.
+  double remaining = std::fmod(t.value(), period_.value());
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     remaining -= phases_[i].duration.value();
     if (remaining < 0.0) return i;
@@ -45,25 +43,21 @@ void Workload::apply(ThermalNetwork& network, Second t) const {
 }
 
 Workload Workload::burst_idle(const StackConfig& config, Watt peak, Watt idle,
-                              Second period, std::size_t cycles) {
+                              Second period) {
   if (config.dies.empty()) throw std::invalid_argument{"burst_idle: no dies"};
-  if (cycles == 0) throw std::invalid_argument{"burst_idle: zero cycles"};
   const double w = config.dies[0].width.value();
   const double h = config.dies[0].height.value();
   std::vector<WorkloadPhase> phases;
-  phases.reserve(2 * cycles);
-  for (std::size_t c = 0; c < cycles; ++c) {
+  for (const process::Point corner :
+       {process::Point{0.3 * w, 0.3 * h}, process::Point{0.7 * w, 0.7 * h}}) {
     WorkloadPhase burst;
     burst.name = "burst";
     burst.duration = period * 0.5;
-    // Hotspot migrates between cycles: alternating corners.
-    const bool even = c % 2 == 0;
     PowerDirective hot;
     hot.kind = PowerDirective::Kind::kHotspot;
     hot.die = 0;
     hot.total = peak;
-    hot.center = even ? process::Point{0.3 * w, 0.3 * h}
-                      : process::Point{0.7 * w, 0.7 * h};
+    hot.center = corner;
     hot.radius = Meter{0.15 * w};
     burst.directives.push_back(hot);
     for (std::size_t d = 1; d < config.dies.size(); ++d) {
@@ -96,7 +90,6 @@ Workload Workload::random(const StackConfig& config, Rng& rng,
     phase.duration = Second{rng.uniform(0.1, 1.0) * max_phase.value()};
     for (std::size_t d = 0; d < config.dies.size(); ++d) {
       if (rng.bernoulli(0.5)) {
-        phases.reserve(phase_count);
         PowerDirective dir;
         dir.kind = PowerDirective::Kind::kHotspot;
         dir.die = d;

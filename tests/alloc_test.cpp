@@ -1,30 +1,44 @@
-// Heap allocations on the shard ingest path, counted by replacing the global
-// operator new.  The replacement applies to a whole program, so these tests
-// are an executable of their own: in the main suite it would hide
-// new/delete mismatches from the sanitizer jobs.
+// Heap allocations on the shard ingest path and in fleet construction,
+// counted (calls and bytes) by replacing the global operator new.  The
+// replacement applies to a whole program, so these tests are an executable
+// of their own: in the main suite it would hide new/delete mismatches from
+// the sanitizer jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <vector>
 
 #include "core/fault_detector.hpp"
 #include "telemetry/aggregator.hpp"
+#include "telemetry/fleet_sampler.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::size_t> g_bytes{0};
 
 std::size_t allocations() {
   return g_allocations.load(std::memory_order_relaxed);
 }
 
+std::size_t allocated_bytes() { return g_bytes.load(std::memory_order_relaxed); }
+
+// Out of line so that operator new stays small enough to inline: GCC then
+// sees its malloc paired with operator delete's free and does not report
+// -Wmismatched-new-delete where a new-expression's cleanup frees.
+[[gnu::noinline]] void count_allocation(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_allocation(size);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
@@ -83,6 +97,35 @@ TEST(AllocationCount, AnalyzeOnAKnownLayoutAllocatesOnlyItsVerdicts) {
   const auto verdicts = detector.analyze(next.readings);
   EXPECT_EQ(allocations() - before, 1u);
   EXPECT_EQ(verdicts.size(), 64u);
+}
+
+/// Bytes requested while a default sampler of `stacks` stacks is built and
+/// torn down.  One worker, so every size has the same rings (their
+/// over-aligned cells bypass the counting operator new anyway).
+std::size_t construction_bytes(std::size_t stacks) {
+  FleetSampler::Config config;
+  config.stack_count = stacks;
+  config.thread_count = 1;
+  const std::size_t before = allocated_bytes();
+  { const FleetSampler sampler{config}; }
+  return allocated_bytes() - before;
+}
+
+TEST(AllocationCount, FleetConstructionBytesPerStackAreBounded) {
+  // Measured: 104,456 B per stack (four dies of 2x2 sites), so the bound
+  // leaves 2.5x headroom.  A per-stack copy of a workload sized for a
+  // million burst cycles requested ~0.8 GB.
+  constexpr std::size_t kPerStackBound = 256 * 1024;
+  (void)construction_bytes(1);  // first-use statics stay out of the count
+  const std::size_t one = construction_bytes(1);
+  // One stack over the per-stack bound would make 64 of them exhaust the
+  // host long before the comparison below could fail.
+  ASSERT_LT(one, kPerStackBound) << "one stack requests " << one << " B";
+  const std::size_t many = construction_bytes(64);
+  const std::size_t per_stack = (many - one) / 63;
+  std::printf("fleet construction: %zu B for 1 stack, %zu B per further "
+              "stack\n", one, per_stack);
+  EXPECT_LT(per_stack, kPerStackBound);
 }
 
 }  // namespace

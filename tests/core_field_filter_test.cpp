@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 
 #include "core/field_estimator.hpp"
-#include "core/tracking_filter.hpp"
 #include "process/variation.hpp"
 
 namespace tsvpt::core {
@@ -120,69 +118,6 @@ TEST(FieldEstimator, SkipsDegradedReadings) {
   const FieldEstimator estimator;
   const auto field = estimator.reconstruct(fx.network, 0, sample);
   for (double t : field) EXPECT_LT(t, 60.0);
-}
-
-// ------------------------------------------------------------ TrackingFilter
-
-TEST(TrackingFilter, FirstSamplePrimes) {
-  TrackingFilter filter;
-  EXPECT_FALSE(filter.primed());
-  const Celsius out = filter.update(Celsius{42.0}, Second{1e-3});
-  EXPECT_TRUE(filter.primed());
-  EXPECT_DOUBLE_EQ(out.value(), 42.0);
-}
-
-TEST(TrackingFilter, ConvergesToConstantInput) {
-  TrackingFilter filter;
-  (void)filter.update(Celsius{20.0}, Second{1e-3});
-  Celsius out{0.0};
-  for (int i = 0; i < 50; ++i) out = filter.update(Celsius{80.0}, Second{1e-3});
-  EXPECT_NEAR(out.value(), 80.0, 0.01);
-}
-
-TEST(TrackingFilter, ReducesNoiseVariance) {
-  Rng rng{5};
-  TrackingFilter filter{{0.2, 5e3}};
-  double raw_acc = 0.0;
-  double filt_acc = 0.0;
-  int count = 0;
-  (void)filter.update(Celsius{50.0}, Second{1e-3});
-  for (int i = 0; i < 5000; ++i) {
-    const double raw = 50.0 + rng.gaussian(0.0, 0.5);
-    const double filtered =
-        filter.update(Celsius{raw}, Second{1e-3}).value();
-    if (i > 100) {  // past the settling
-      raw_acc += (raw - 50.0) * (raw - 50.0);
-      filt_acc += (filtered - 50.0) * (filtered - 50.0);
-      ++count;
-    }
-  }
-  EXPECT_LT(filt_acc / count, 0.25 * raw_acc / count);
-}
-
-TEST(TrackingFilter, SlewBoundsOutlier) {
-  TrackingFilter filter{{1.0, 100.0}};  // alpha 1, 100 degC/s limit
-  (void)filter.update(Celsius{30.0}, Second{1e-3});
-  // A wild 200 degC outlier one millisecond later moves at most 0.1 degC.
-  const Celsius out = filter.update(Celsius{200.0}, Second{1e-3});
-  EXPECT_NEAR(out.value(), 30.1, 1e-9);
-}
-
-TEST(TrackingFilter, ResetReprimes) {
-  TrackingFilter filter;
-  (void)filter.update(Celsius{10.0}, Second{1e-3});
-  filter.reset();
-  EXPECT_FALSE(filter.primed());
-  EXPECT_DOUBLE_EQ(filter.update(Celsius{99.0}, Second{1e-3}).value(), 99.0);
-}
-
-TEST(TrackingFilter, Validation) {
-  EXPECT_THROW((TrackingFilter{{0.0, 100.0}}), std::invalid_argument);
-  EXPECT_THROW((TrackingFilter{{1.5, 100.0}}), std::invalid_argument);
-  EXPECT_THROW((TrackingFilter{{0.5, 0.0}}), std::invalid_argument);
-  TrackingFilter filter;
-  EXPECT_THROW((void)filter.update(Celsius{1.0}, Second{0.0}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ struct SessionFixture {
   thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
   thermal::ThermalNetwork network{cfg};
   thermal::Workload workload = thermal::Workload::burst_idle(
-      cfg, Watt{2.0}, Watt{0.2}, Second{20e-3}, 3);
+      cfg, Watt{2.0}, Watt{0.2}, Second{20e-3});
   std::vector<core::SensorSite> sites;
   std::unique_ptr<core::StackMonitor> monitor;
 
@@ -170,6 +170,30 @@ TEST(StackMonitorSampleSite, MatchesSampleAllOrdering) {
     EXPECT_DOUBLE_EQ(one.truth.value(), all[i].truth.value());
   }
   EXPECT_THROW((void)fx.monitor->sample_site(99, nullptr), std::out_of_range);
+}
+
+TEST(MonitoringSession, ReplaysTheWorkloadPastItsPeriod) {
+  // The fixture's burst/idle repeats every 40 ms.  A 65 ms session ends
+  // with a substep 24.5 ms into the second period: the corner-B burst, not
+  // the idle phase that ends the first period.
+  SessionFixture fx;
+  MonitoringSession::Config cfg;
+  cfg.sample_period = Second{1e-3};
+  cfg.thermal_step = Second{0.5e-3};
+  MonitoringSession session{&fx.network, &fx.workload, fx.monitor.get(), cfg,
+                            7};
+  session.run(Second{65e-3});
+  ASSERT_EQ(session.trace().size(), 65u);
+  thermal::ThermalNetwork expected{fx.cfg};
+  fx.workload.apply(expected, Second{24.5e-3});
+  EXPECT_NEAR(expected.die_power(0).value(), 2.0, 1e-9);
+  for (std::size_t d = 0; d < fx.cfg.die_count(); ++d) {
+    EXPECT_DOUBLE_EQ(fx.network.die_power(d).value(),
+                     expected.die_power(d).value())
+        << "die " << d;
+  }
+  EXPECT_DOUBLE_EQ(fx.network.cell_power(0, 0, 0).value(),
+                   expected.cell_power(0, 0, 0).value());
 }
 
 TEST(MonitoringSession, ValidatesArguments) {

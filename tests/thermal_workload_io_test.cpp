@@ -28,7 +28,7 @@ TEST(WorkloadIo, ParsesMixedTrace) {
   EXPECT_DOUBLE_EQ(hotspot.total.value(), 3.0);
   EXPECT_DOUBLE_EQ(hotspot.center.x, 1.2e-3);
   EXPECT_DOUBLE_EQ(hotspot.radius.value(), 5e-4);
-  EXPECT_DOUBLE_EQ(workload.total_duration().value(), 0.030);
+  EXPECT_DOUBLE_EQ(workload.period().value(), 0.030);
 }
 
 TEST(WorkloadIo, RoundTripsRandomWorkloads) {
@@ -86,7 +86,7 @@ TEST(WorkloadIo, FileRoundTrip) {
       "phase 0.005 a\nuniform 1 1.5\nphase 0.007 b\nuniform 2 0.25\n");
   save_workload(original, path);
   const Workload loaded = load_workload(path);
-  EXPECT_DOUBLE_EQ(loaded.total_duration().value(), 0.012);
+  EXPECT_DOUBLE_EQ(loaded.period().value(), 0.012);
   std::remove(path.c_str());
   EXPECT_THROW((void)load_workload("/nonexistent/trace"),
                std::runtime_error);
@@ -100,6 +100,18 @@ TEST(WorkloadIo, ParsedTraceDrivesTheNetwork) {
   EXPECT_NEAR(net.total_power().value(), 2.0, 1e-12);
   workload.apply(net, Second{0.015});
   EXPECT_NEAR(net.total_power().value(), 1.0, 1e-12);
+}
+
+TEST(WorkloadIo, ParsedTraceRepeats) {
+  // A trace is one period: past its end it plays from the first phase.
+  const Workload workload = parse_workload_string(
+      "phase 0.01\nuniform 0 2.0\nphase 0.01\nuniform 1 1.0\n");
+  ThermalNetwork net{StackConfig::four_die_stack()};
+  workload.apply(net, Second{0.025});
+  EXPECT_NEAR(net.die_power(0).value(), 2.0, 1e-12);
+  EXPECT_NEAR(net.die_power(1).value(), 0.0, 1e-12);
+  workload.apply(net, Second{10.035});
+  EXPECT_NEAR(net.die_power(1).value(), 1.0, 1e-12);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //                   [--seed 9]
 //       Play a workload trace (or the built-in burst/idle) against the
 //       4-die stack with a 16-sensor monitor; prints tracking statistics.
+//       A --duration-ms longer than the trace replays it from the start.
 //   tsvpt_cli fleet [--stacks 32] [--threads 8] [--scans 50] [--sample-ms 1]
 //                   [--ring 256] [--grid 2] [--alert-c 85] [--seed 1]
 //       Concurrent fleet telemetry: sample N independent stacks on a worker
@@ -270,8 +271,7 @@ int cmd_trace(const Args& args) {
   const std::string trace = args.get("trace", std::string{});
   const thermal::Workload workload =
       trace.empty() ? thermal::Workload::burst_idle(stack, Watt{5.0},
-                                                    Watt{0.25},
-                                                    Second{50e-3}, 3)
+                                                    Watt{0.25}, Second{50e-3})
                     : thermal::load_workload(trace);
 
   thermal::ThermalNetwork network{stack};
@@ -295,8 +295,10 @@ int cmd_trace(const Args& args) {
   session_cfg.thermal_step = Second{0.5e-3};
   sim::MonitoringSession session{&network, &workload, &monitor, session_cfg,
                                  derive_seed(seed, 2)};
-  const double duration_ms =
-      args.get("duration-ms", workload.total_duration().value() * 1e3);
+  // A trace plays once by default (the built-in one for three burst/idle
+  // cycles); a longer --duration-ms replays it.
+  const double duration_ms = args.get(
+      "duration-ms", trace.empty() ? 150.0 : workload.period().value() * 1e3);
   session.run(Second{duration_ms * 1e-3});
 
   const Samples errors = session.error_samples();
@@ -1351,6 +1353,7 @@ int usage() {
                "  mc     [--dies N] [--seed N] [--card FILE]\n"
                "  trace  [--trace FILE] [--sample-ms MS] [--duration-ms MS]"
                " [--seed N]\n"
+               "         (a --duration-ms longer than the trace replays it)\n"
                "  fleet  [--stacks N] [--threads N] [--scans N]"
                " [--sample-ms MS] [--ring N] [--grid N] [--alert-c DEGC]"
                " [--seed N] [--card FILE]\n"
