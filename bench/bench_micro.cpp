@@ -9,13 +9,17 @@
 
 #include "calib/linalg.hpp"
 #include "circuit/ring_oscillator.hpp"
+#include "control/controller.hpp"
+#include "control/stack_loop.hpp"
 #include "core/fault_detector.hpp"
 #include "core/pt_sensor.hpp"
+#include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/codec_util.hpp"
 #include "telemetry/frame.hpp"
 #include "thermal/network.hpp"
+#include "thermal/workload.hpp"
 
 namespace {
 
@@ -93,6 +97,72 @@ void BM_ThermalTransientMillisecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThermalTransientMillisecond);
+
+/// One FleetSampler stack: four_die_stack() under the fleet's default
+/// burst/idle load (5 W bursts, 0.25 W idle, 50 ms period), sensed on a 2x2
+/// grid per die, looped open or under `controller`.
+struct FleetStack {
+  thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
+  thermal::Workload workload = thermal::Workload::burst_idle(
+      cfg, Watt{5.0}, Watt{0.25}, Second{50e-3});
+  thermal::ThermalNetwork network{cfg};
+  core::StackMonitor monitor{&network, core::PtSensor::Config{},
+                             core::StackMonitor::uniform_sites(cfg, 2, 2), 1};
+  Rng noise{1};
+  control::StackLoop loop;
+
+  explicit FleetStack(control::Controller* controller)
+      : loop(network, workload, monitor, noise, nullptr, controller) {
+    loop.power_on(true);
+  }
+};
+
+/// One workload-programmed 0.25 ms substep, as FleetSampler runs it: the
+/// clock runs on across iterations, so the burst/idle phase changes once
+/// every 100 substeps.
+void BM_ThermalSubstepFleetShape(benchmark::State& state) {
+  FleetStack stack{nullptr};
+  const Second step{0.25e-3};
+  Second now{0.0};
+  for (auto _ : state) {
+    stack.loop.substep(now, step);
+    now += step;
+    benchmark::DoNotOptimize(stack.network.temperatures().data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ThermalSubstepFleetShape);
+
+/// One 1 ms advance (four substeps) under a migration controller holding a
+/// move from the hot bottom die and a rung per die, with the tick
+/// accounting a controlled fleet or run_closed_loop pays.
+void BM_StackLoopAdvanceControlled(benchmark::State& state) {
+  control::Controller::Config config;
+  config.kind = control::PolicyKind::kMigration;
+  control::Controller controller{config, 4};
+  control::StackObservation obs;
+  obs.dies.resize(4);
+  for (std::size_t d = 0; d < 4; ++d) {
+    obs.dies[d].die = d;
+    obs.dies[d].credible_sites = 4;
+    obs.dies[d].total_sites = 4;
+    obs.dies[d].max_sensed = Celsius{d == 0 ? 90.0 : d == 1 ? 55.0 : 65.0};
+  }
+  controller.on_observation(obs);
+  FleetStack stack{&controller};
+  const Second period{1e-3};
+  Second now{0.0};
+  for (auto _ : state) {
+    stack.loop.advance(now, period, Second{0.25e-3});
+    now += period;
+    benchmark::DoNotOptimize(stack.network.temperatures().data());
+    benchmark::ClobberMemory();
+  }
+  if (controller.actuation().migrations.empty()) {
+    state.SkipWithError("the controller holds no move");
+  }
+}
+BENCHMARK(BM_StackLoopAdvanceControlled);
 
 void BM_SpatialFieldSample(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

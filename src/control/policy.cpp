@@ -45,23 +45,21 @@ StackObservation observe_scan(
   return obs;
 }
 
-void apply_actuation(const thermal::Workload& workload,
-                     thermal::ThermalNetwork& network, Second t,
-                     const Actuation& act, const PlantModel& plant) {
+void actuate(thermal::ThermalNetwork& network, const Actuation& act,
+             const PlantModel& plant) {
   if (plant.unscalable_fraction < 0.0 || plant.unscalable_fraction > 1.0) {
-    throw std::invalid_argument{"apply_actuation: unscalable_fraction"};
+    throw std::invalid_argument{"actuate: unscalable_fraction"};
   }
-  workload.apply(network, t);
   const std::size_t die_count = network.config().die_count();
   // Migrations first: they rebalance the nominal placement; the commands
   // then scale whatever each die ended up hosting.
   for (const Migration& m : act.migrations) {
     if (m.from_die >= die_count || m.to_die >= die_count ||
         m.from_die == m.to_die) {
-      throw std::invalid_argument{"apply_actuation: bad migration"};
+      throw std::invalid_argument{"actuate: bad migration"};
     }
     if (m.fraction < 0.0 || m.fraction > 1.0) {
-      throw std::invalid_argument{"apply_actuation: migration fraction"};
+      throw std::invalid_argument{"actuate: migration fraction"};
     }
     const Watt moved{network.die_power(m.from_die).value() * m.fraction};
     network.scale_die_power(m.from_die, 1.0 - m.fraction);

@@ -25,7 +25,6 @@
 #include "core/stack_monitor.hpp"
 #include "ptsim/units.hpp"
 #include "thermal/network.hpp"
-#include "thermal/workload.hpp"
 
 namespace tsvpt::control {
 
@@ -117,12 +116,11 @@ class Policy {
   virtual void reset() = 0;
 };
 
-/// Program the network's power map for time t from the workload, then apply
-/// the actuation on top: migrations move programmed watts between dies,
-/// per-die commands scale what remains (through the plant's unscalable
-/// floor).  Leakage sources are physics, not task placement — untouched.
-void apply_actuation(const thermal::Workload& workload,
-                     thermal::ThermalNetwork& network, Second t,
-                     const Actuation& act, const PlantModel& plant = {});
+/// Apply the actuation on top of the network's programmed (nominal) map:
+/// migrations move programmed watts between dies, per-die commands scale
+/// what remains (through the plant's unscalable floor).  Leakage sources are
+/// physics, not task placement — untouched.
+void actuate(thermal::ThermalNetwork& network, const Actuation& act,
+             const PlantModel& plant = {});
 
 }  // namespace tsvpt::control

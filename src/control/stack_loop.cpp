@@ -15,10 +15,11 @@ StackLoop::StackLoop(thermal::ThermalNetwork& network,
       monitor_(&monitor),
       noise_(&noise),
       supervisor_(supervisor),
-      controller_(controller) {}
+      controller_(controller),
+      phase_power_(network.node_count(), 0.0) {}
 
 void StackLoop::power_on(bool steady_state) {
-  workload_->apply(*network_, Second{0.0});
+  program_nominal(Second{0.0});
   if (steady_state) {
     network_->set_temperatures(network_->steady_state());
   } else {
@@ -27,14 +28,27 @@ void StackLoop::power_on(bool steady_state) {
   monitor_->calibrate_all(noise_);
 }
 
+void StackLoop::program_nominal(Second t) {
+  const std::size_t phase = workload_->phase_at(t);
+  if (phase == cached_phase_) {
+    network_->set_power_map(phase_power_);
+    return;
+  }
+  workload_->apply(*network_, t);
+  const std::vector<double>& map = network_->power_map();
+  std::copy(map.begin(), map.end(), phase_power_.begin());
+  cached_phase_ = phase;
+}
+
+// hot(alloc): four substeps per scan of every stack; the phase's map comes
+// from the cache and the step integrates in the network's own buffers.
 void StackLoop::substep(Second t, Second h) {
+  program_nominal(t);
   if (controller_ == nullptr) {
-    workload_->apply(*network_, t);
     network_->step(h);
     return;
   }
-  apply_actuation(*workload_, *network_, t, controller_->actuation(),
-                  controller_->config().plant);
+  actuate(*network_, controller_->actuation(), controller_->config().plant);
   network_->step(h);
   Celsius hottest{-273.15};
   for (std::size_t d = 0; d < network_->config().die_count(); ++d) {

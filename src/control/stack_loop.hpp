@@ -5,8 +5,8 @@
 // The loop owns the two halves of that sequence:
 //
 //   advance(...)  thermal substeps under the held actuation: program the
-//                 workload (through the controller's actuation when one is
-//                 attached), integrate one step, account the controller
+//                 workload's map (then the controller's actuation when one
+//                 is attached), integrate one step, account the controller
 //                 tick;
 //   sample_scan() one scan: convert only the sites the supervisor wants,
 //                 give the rest degraded placeholders;
@@ -15,10 +15,18 @@
 //
 // The caller owns the clock and the order: whether a scan comes before or
 // after its advance, and which hooks run between the calls.  Everything the
-// loop touches is borrowed, so a loop is a handful of pointers and one
-// sampling mask.
+// loop touches is borrowed, so a loop is a handful of pointers, one sampling
+// mask and one cached power map.
+//
+// The cache holds the nominal map of the phase the loop programmed last.
+// A phase lasts many substeps (a fleet's 25 ms burst or idle phase is 100
+// of them), so Workload::apply runs only when the phase changes; every
+// other substep copies the cached map into the network.  The cache lives in
+// the loop, not the workload, because a fleet's stacks share one workload
+// read-only across worker threads.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -49,7 +57,8 @@ class StackLoop {
 
   /// One thermal substep of `h` starting at time `t`.  The hottest die's
   /// true temperature is measured only when a controller is attached (it
-  /// feeds the controller's tick accounting and nothing else).
+  /// feeds the controller's tick accounting and nothing else).  Never
+  /// allocates.
   void substep(Second t, Second h);
 
   /// Advance `period` from `now` in substeps of at most `step`, each
@@ -78,6 +87,11 @@ class StackLoop {
   }
 
  private:
+  /// Program the workload's nominal map for time t: from the cache while t
+  /// is in the phase programmed last, else through Workload::apply, whose
+  /// map then becomes the cache.
+  void program_nominal(Second t);
+
   thermal::ThermalNetwork* network_;
   const thermal::Workload* workload_;
   core::StackMonitor* monitor_;
@@ -88,6 +102,11 @@ class StackLoop {
   /// conversions.
   std::vector<bool> sampled_;
   std::vector<core::HealthSupervisor::Transition> transitions_;
+  /// Nominal power map of phase `cached_phase_` (one entry per node), and
+  /// that phase's index (kNoPhase until the first programming).
+  static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
+  std::vector<double> phase_power_;
+  std::size_t cached_phase_ = kNoPhase;
 };
 
 }  // namespace tsvpt::control

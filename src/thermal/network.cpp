@@ -20,12 +20,6 @@ std::size_t ThermalNetwork::node_index(std::size_t die, std::size_t ix,
   return die_node_offset_[die] + iy * geom.nx + ix;
 }
 
-void ThermalNetwork::add_edge(std::size_t a, std::size_t b,
-                              double conductance) {
-  adjacency_[a].push_back({b, conductance});
-  adjacency_[b].push_back({a, conductance});
-}
-
 void ThermalNetwork::build() {
   const std::size_t die_count = config_.dies.size();
   die_node_offset_.resize(die_count);
@@ -34,12 +28,24 @@ void ThermalNetwork::build() {
     die_node_offset_[d] = total;
     total += config_.dies[d].nx * config_.dies[d].ny;
   }
-  adjacency_.assign(total, {});
+  // Each conductance is recorded once, in build order, and packed into
+  // the CSR arrays at the end.
+  struct Link {
+    std::size_t a;
+    std::size_t b;
+    double conductance;
+  };
+  std::vector<Link> links;
+  const auto add_edge = [&links](std::size_t a, std::size_t b, double g) {
+    links.push_back({a, b, g});
+  };
   boundary_conductance_.assign(total, 0.0);
   capacitance_.assign(total, 0.0);
   power_.assign(total, 0.0);
   state_.assign(total, config_.ambient.value());
+  scratch_.assign(total, 0.0);
   die_leakage_.assign(die_count, nullptr);
+  has_leakage_ = false;
   node_die_.resize(total);
   for (std::size_t d = 0; d < die_count; ++d) {
     const DieGeometry& geom = config_.dies[d];
@@ -138,11 +144,31 @@ void ThermalNetwork::build() {
     }
   }
 
+  // Pack: count each node's edges into its row offset, then place both
+  // ends of every link in link order, so each row lists its node's edges
+  // in the order they were added.
+  edge_offset_.assign(total + 1, 0);
+  for (const Link& l : links) {
+    ++edge_offset_[l.a + 1];
+    ++edge_offset_[l.b + 1];
+  }
+  for (std::size_t n = 0; n < total; ++n) {
+    edge_offset_[n + 1] += edge_offset_[n];
+  }
+  edges_.resize(edge_offset_[total]);
+  std::vector<std::size_t> next(edge_offset_.begin(), edge_offset_.end() - 1);
+  for (const Link& l : links) {
+    edges_[next[l.a]++] = {l.b, l.conductance};
+    edges_[next[l.b]++] = {l.a, l.conductance};
+  }
+
   // Explicit stability: dt < min_n C_n / sum(G_n).  Use a safety factor.
   double min_tau = 1e30;
   for (std::size_t n = 0; n < capacitance_.size(); ++n) {
     double g_sum = boundary_conductance_[n];
-    for (const Edge& e : adjacency_[n]) g_sum += e.conductance;
+    for (std::size_t k = edge_offset_[n]; k < edge_offset_[n + 1]; ++k) {
+      g_sum += edges_[k].conductance;
+    }
     if (g_sum > 0.0) min_tau = std::min(min_tau, capacitance_[n] / g_sum);
   }
   stable_dt_ = Second{0.5 * min_tau};
@@ -163,14 +189,12 @@ void ThermalNetwork::add_cell_power(std::size_t die, std::size_t ix,
 }
 
 void ThermalNetwork::set_uniform_power(std::size_t die, Watt total) {
-  const DieGeometry& geom = config_.dies[die];
+  const DieGeometry& geom = config_.dies.at(die);
   const double per_cell =
       total.value() / static_cast<double>(geom.nx * geom.ny);
-  for (std::size_t iy = 0; iy < geom.ny; ++iy) {
-    for (std::size_t ix = 0; ix < geom.nx; ++ix) {
-      power_[node_index(die, ix, iy)] = per_cell;
-    }
-  }
+  const std::size_t begin = die_node_offset_[die];
+  const std::size_t end = begin + geom.nx * geom.ny;
+  for (std::size_t n = begin; n < end; ++n) power_[n] = per_cell;
 }
 
 void ThermalNetwork::add_hotspot(std::size_t die, process::Point center,
@@ -179,7 +203,9 @@ void ThermalNetwork::add_hotspot(std::size_t die, process::Point center,
   const DieGeometry& geom = config_.dies.at(die);
   const double cell_w = geom.width.value() / static_cast<double>(geom.nx);
   const double cell_h = geom.height.value() / static_cast<double>(geom.ny);
-  std::vector<double> weights(geom.nx * geom.ny, 0.0);
+  // The die's weights go to its slice of the scratch buffer.
+  const std::size_t begin = die_node_offset_[die];
+  const std::size_t end = begin + geom.nx * geom.ny;
   double weight_sum = 0.0;
   for (std::size_t iy = 0; iy < geom.ny; ++iy) {
     for (std::size_t ix = 0; ix < geom.nx; ++ix) {
@@ -188,15 +214,12 @@ void ThermalNetwork::add_hotspot(std::size_t die, process::Point center,
           (static_cast<double>(iy) + 0.5) * cell_h};
       const double d = cell_center.distance_to(center) / radius.value();
       const double w = std::exp(-0.5 * d * d);
-      weights[iy * geom.nx + ix] = w;
+      scratch_[begin + iy * geom.nx + ix] = w;
       weight_sum += w;
     }
   }
-  for (std::size_t iy = 0; iy < geom.ny; ++iy) {
-    for (std::size_t ix = 0; ix < geom.nx; ++ix) {
-      power_[node_index(die, ix, iy)] +=
-          total.value() * weights[iy * geom.nx + ix] / weight_sum;
-    }
+  for (std::size_t n = begin; n < end; ++n) {
+    power_[n] += total.value() * scratch_[n] / weight_sum;
   }
 }
 
@@ -233,6 +256,13 @@ Watt ThermalNetwork::die_power(std::size_t die) const {
   return Watt{sum};
 }
 
+void ThermalNetwork::set_power_map(const std::vector<double>& power) {
+  if (power.size() != node_count()) {
+    throw std::invalid_argument{"set_power_map: wrong size"};
+  }
+  std::copy(power.begin(), power.end(), power_.begin());
+}
+
 Watt ThermalNetwork::total_power() const {
   double sum = 0.0;
   for (double p : power_) sum += p;
@@ -244,28 +274,34 @@ Watt ThermalNetwork::cell_power(std::size_t die, std::size_t ix,
   return Watt{power_[node_index(die, ix, iy)]};
 }
 
-std::vector<double> ThermalNetwork::apply_conductance(
-    const std::vector<double>& t) const {
-  // y = G t where G is the (SPD) conductance matrix including boundary terms.
-  std::vector<double> y(t.size(), 0.0);
-  for (std::size_t n = 0; n < t.size(); ++n) {
-    double acc = boundary_conductance_[n] * t[n];
-    for (const Edge& e : adjacency_[n]) {
-      acc += e.conductance * (t[n] - t[e.neighbor]);
+void ThermalNetwork::apply_conductance(const std::vector<double>& t,
+                                       std::vector<double>& y) const {
+  // The rows are contiguous, so one edge cursor walks all of them in order.
+  const Edge* edge = edges_.data();
+  std::size_t k = 0;
+  for (std::size_t n = 0; n < node_count(); ++n) {
+    const double tn = t[n];
+    double acc = boundary_conductance_[n] * tn;
+    for (const std::size_t end = edge_offset_[n + 1]; k < end; ++k) {
+      acc += edge[k].conductance * (tn - t[edge[k].neighbor]);
     }
     y[n] = acc;
   }
-  return y;
 }
 
 void ThermalNetwork::set_leakage_power(std::size_t die,
                                        TemperaturePowerFn per_cell) {
   if (die >= config_.dies.size()) throw std::out_of_range{"die index"};
   die_leakage_[die] = std::move(per_cell);
+  heat_.resize(node_count());
+  has_leakage_ = std::any_of(
+      die_leakage_.begin(), die_leakage_.end(),
+      [](const TemperaturePowerFn& fn) { return static_cast<bool>(fn); });
 }
 
 void ThermalNetwork::clear_leakage_power() {
   std::fill(die_leakage_.begin(), die_leakage_.end(), nullptr);
+  has_leakage_ = false;
 }
 
 double ThermalNetwork::node_leakage(std::size_t n, double t) const {
@@ -279,6 +315,7 @@ double ThermalNetwork::node_leakage(std::size_t n, double t) const {
 }
 
 Watt ThermalNetwork::leakage_power() const {
+  if (!has_leakage_) return Watt{0.0};
   double sum = 0.0;
   for (std::size_t n = 0; n < node_count(); ++n) {
     sum += node_leakage(n, state_[n]);
@@ -288,11 +325,7 @@ Watt ThermalNetwork::leakage_power() const {
 
 std::vector<double> ThermalNetwork::steady_state(double tolerance,
                                                  int max_iterations) const {
-  bool any_leakage = false;
-  for (const TemperaturePowerFn& fn : die_leakage_) {
-    if (fn) any_leakage = true;
-  }
-  if (!any_leakage) return solve_linear(power_, tolerance, max_iterations);
+  if (!has_leakage_) return solve_linear(power_, tolerance, max_iterations);
 
   // Coupled fixed point: solve the linear network with leakage evaluated at
   // the previous iterate, damped to tame the exponential feedback.
@@ -333,17 +366,18 @@ std::vector<double> ThermalNetwork::solve_linear(
   std::vector<double> diag(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     diag[i] = boundary_conductance_[i];
-    for (const Edge& e : adjacency_[i]) diag[i] += e.conductance;
+    for (std::size_t k = edge_offset_[i]; k < edge_offset_[i + 1]; ++k) {
+      diag[i] += edges_[k].conductance;
+    }
     if (diag[i] <= 0.0) {
       throw std::runtime_error{"steady_state: floating node (no path out)"};
     }
   }
   std::vector<double> x(n, config_.ambient.value());
   std::vector<double> r = b;
-  {
-    const std::vector<double> ax = apply_conductance(x);
-    for (std::size_t i = 0; i < n; ++i) r[i] -= ax[i];
-  }
+  std::vector<double> ap(n);  // G x first, then G p every iteration
+  apply_conductance(x, ap);
+  for (std::size_t i = 0; i < n; ++i) r[i] -= ap[i];
   std::vector<double> z(n);
   for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
   std::vector<double> p = z;
@@ -359,7 +393,7 @@ std::vector<double> ThermalNetwork::solve_linear(
     for (double v : r) r_norm += v * v;
     if (std::sqrt(r_norm) / b_norm < tolerance) break;
 
-    const std::vector<double> ap = apply_conductance(p);
+    apply_conductance(p, ap);
     double pap = 0.0;
     for (std::size_t i = 0; i < n; ++i) pap += p[i] * ap[i];
     if (pap <= 0.0) break;  // numerical breakdown; x is the best we have
@@ -389,21 +423,30 @@ void ThermalNetwork::set_temperatures(std::vector<double> state) {
   state_ = std::move(state);
 }
 
+// hot(alloc): every substep of every simulated stack integrates here.
 void ThermalNetwork::step(Second dt) {
   if (dt.value() <= 0.0) throw std::invalid_argument{"step: dt <= 0"};
   double remaining = dt.value();
   const double h_max = stable_dt_.value();
-  std::vector<double> deriv(node_count());
+  const double ambient = config_.ambient.value();
+  std::vector<double>& flow = scratch_;
   while (remaining > 0.0) {
     const double h = std::min(remaining, h_max);
-    const std::vector<double> flow = apply_conductance(state_);
-    for (std::size_t n = 0; n < node_count(); ++n) {
-      deriv[n] = (power_[n] + node_leakage(n, state_[n]) +
-                  boundary_conductance_[n] * config_.ambient.value() -
-                  flow[n]) /
-                 capacitance_[n];
+    // Every leakage term before any update, so a source that throws leaves
+    // the state untouched.  Without a source the term would be +0.0, and
+    // adding it changes no bit of the sum.
+    if (has_leakage_) {
+      for (std::size_t n = 0; n < node_count(); ++n) {
+        heat_[n] = power_[n] + node_leakage(n, state_[n]);
+      }
     }
-    for (std::size_t n = 0; n < node_count(); ++n) state_[n] += h * deriv[n];
+    const std::vector<double>& heat = has_leakage_ ? heat_ : power_;
+    apply_conductance(state_, flow);
+    for (std::size_t n = 0; n < node_count(); ++n) {
+      state_[n] += h * ((heat[n] + boundary_conductance_[n] * ambient -
+                         flow[n]) /
+                        capacitance_[n]);
+    }
     remaining -= h;
   }
 }
@@ -450,12 +493,10 @@ Kelvin ThermalNetwork::temperature_at(std::size_t die,
 
 Kelvin ThermalNetwork::max_temperature(std::size_t die) const {
   const DieGeometry& geom = config_.dies.at(die);
+  const std::size_t begin = die_node_offset_[die];
+  const std::size_t end = begin + geom.nx * geom.ny;
   double best = -1e30;
-  for (std::size_t iy = 0; iy < geom.ny; ++iy) {
-    for (std::size_t ix = 0; ix < geom.nx; ++ix) {
-      best = std::max(best, state_[node_index(die, ix, iy)]);
-    }
-  }
+  for (std::size_t n = begin; n < end; ++n) best = std::max(best, state_[n]);
   return Kelvin{best};
 }
 

@@ -11,6 +11,10 @@
 //   * step(): explicit transient integration with automatic substepping at
 //     the stability limit (the grids used here are small enough that
 //     explicit integration is both simple and fast).
+//
+// The edges are packed once, at build time, into per-node row offsets over
+// one flat array (CSR), each node's edges in the order build() added them:
+// the order every conductance sum runs in.
 #pragma once
 
 #include <cstddef>
@@ -58,12 +62,20 @@ class ThermalNetwork {
   [[nodiscard]] Watt total_power() const;
   /// Power currently programmed on one die's map (excluding leakage).
   [[nodiscard]] Watt die_power(std::size_t die) const;
+  /// The whole programmed map (W per node, node-indexed; no leakage).
+  [[nodiscard]] const std::vector<double>& power_map() const {
+    return power_;
+  }
+  /// Program a whole map saved from power_map(); copies, never allocates.
+  /// Throws std::invalid_argument on a size mismatch.
+  void set_power_map(const std::vector<double>& power);
 
   /// Attach a temperature-dependent per-cell power source to one die
   /// (leakage feedback).  Replaces any previous source on that die.
   void set_leakage_power(std::size_t die, TemperaturePowerFn per_cell);
   void clear_leakage_power();
-  /// Leakage power currently dissipated by the *transient* state.
+  /// Leakage power currently dissipated by the *transient* state (0 when
+  /// no die has a source).
   [[nodiscard]] Watt leakage_power() const;
   [[nodiscard]] Watt cell_power(std::size_t die, std::size_t ix,
                                 std::size_t iy) const;
@@ -87,7 +99,9 @@ class ThermalNetwork {
   void set_uniform_temperature(Kelvin t);
   /// Load an explicit state (e.g. a steady-state solution).
   void set_temperatures(std::vector<double> state);
-  /// Advance the transient solution by dt (internally substepped).
+  /// Advance the transient solution by dt (internally substepped).  Never
+  /// allocates.  A leakage source that throws leaves the state of the
+  /// substep it threw in untouched.
   void step(Second dt);
   /// Largest stable explicit substep.
   [[nodiscard]] Second stable_substep() const { return stable_dt_; }
@@ -111,9 +125,10 @@ class ThermalNetwork {
   };
 
   void build();
-  void add_edge(std::size_t a, std::size_t b, double conductance);
-  [[nodiscard]] std::vector<double> apply_conductance(
-      const std::vector<double>& t) const;
+  /// y = G t (conductance matrix including boundary terms) into a
+  /// caller-owned buffer of node_count() entries.
+  void apply_conductance(const std::vector<double>& t,
+                         std::vector<double>& y) const;
   /// Linear steady-state solve for an explicit per-node power vector.
   [[nodiscard]] std::vector<double> solve_linear(
       const std::vector<double>& power, double tolerance,
@@ -123,15 +138,24 @@ class ThermalNetwork {
 
   StackConfig config_;
   std::vector<TemperaturePowerFn> die_leakage_;  // one slot per die
+  bool has_leakage_ = false;                     // any slot set
   std::vector<std::size_t> node_die_;            // die index per node
   Kelvin runaway_limit_{1000.0};
   std::vector<std::size_t> die_node_offset_;
-  // CSR-ish adjacency: per-node slice into edges_.
-  std::vector<std::vector<Edge>> adjacency_;
+  // CSR adjacency: node n's edges are edges_[edge_offset_[n]] up to
+  // edges_[edge_offset_[n + 1]], in the order build() added them.
+  std::vector<std::size_t> edge_offset_;
+  std::vector<Edge> edges_;
   std::vector<double> boundary_conductance_;  // to ambient, per node
   std::vector<double> capacitance_;           // J/K per node
   std::vector<double> power_;                 // W per node
   std::vector<double> state_;                 // K per node (transient)
+  // Per-node scratch: conductance flows in step(), hotspot weights in
+  // add_hotspot().  Meaningless between calls.
+  std::vector<double> scratch_;
+  // Programmed power plus leakage per node, filled by step() while a
+  // source is attached (sized by the first set_leakage_power()).
+  std::vector<double> heat_;
   Second stable_dt_{1e-5};
 };
 

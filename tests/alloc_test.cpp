@@ -1,8 +1,8 @@
-// Heap allocations on the shard ingest path and in fleet construction,
-// counted (calls and bytes) by replacing the global operator new.  The
-// replacement applies to a whole program, so these tests are an executable
-// of their own: in the main suite it would hide new/delete mismatches from
-// the sanitizer jobs.
+// Heap allocations on the shard ingest path, in fleet construction and in
+// the thermal substep, counted (calls and bytes) by replacing the global
+// operator new.  The replacement applies to a whole program, so these tests
+// are an executable of their own: in the main suite it would hide
+// new/delete mismatches from the sanitizer jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,14 @@
 #include <new>
 #include <vector>
 
+#include "control/controller.hpp"
+#include "control/stack_loop.hpp"
 #include "core/fault_detector.hpp"
+#include "core/stack_monitor.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/fleet_sampler.hpp"
+#include "thermal/network.hpp"
+#include "thermal/workload.hpp"
 
 namespace {
 
@@ -112,9 +117,10 @@ std::size_t construction_bytes(std::size_t stacks) {
 }
 
 TEST(AllocationCount, FleetConstructionBytesPerStackAreBounded) {
-  // Measured: 104,456 B per stack (four dies of 2x2 sites), so the bound
-  // leaves 2.5x headroom.  A per-stack copy of a workload sized for a
-  // million burst cycles requested ~0.8 GB.
+  // Measured: 122,984 B per stack (four dies of 2x2 sites; the network
+  // records one flat list of links and packs it into its CSR edge array),
+  // so the bound leaves 2x headroom.  A per-stack copy of a workload sized
+  // for a million burst cycles requested ~0.8 GB.
   constexpr std::size_t kPerStackBound = 256 * 1024;
   (void)construction_bytes(1);  // first-use statics stay out of the count
   const std::size_t one = construction_bytes(1);
@@ -126,6 +132,71 @@ TEST(AllocationCount, FleetConstructionBytesPerStackAreBounded) {
   std::printf("fleet construction: %zu B for 1 stack, %zu B per further "
               "stack\n", one, per_stack);
   EXPECT_LT(per_stack, kPerStackBound);
+}
+
+/// Die 0 over the migration trip, die 1 the coolest: the policy answers with
+/// a move from die 0 to die 1 and per-die rungs.
+control::StackObservation hot_bottom_die(std::size_t dies) {
+  control::StackObservation obs;
+  obs.dies.resize(dies);
+  for (std::size_t d = 0; d < dies; ++d) {
+    obs.dies[d].die = d;
+    obs.dies[d].credible_sites = 4;
+    obs.dies[d].total_sites = 4;
+    const double c = d == 0 ? 90.0 : d == 1 ? 55.0 : 65.0;
+    obs.dies[d].max_sensed = Celsius{c};
+    obs.dies[d].mean_sensed = Celsius{c};
+  }
+  return obs;
+}
+
+TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
+  // FleetSampler's shape: 1 ms scans of four 0.25 ms substeps on
+  // four_die_stack() under the default burst/idle load, whose phase changes
+  // every 25 ms.  The counted 1,000 scans cross 40 phase changes, each of
+  // which reprograms the map through Workload::apply.
+  const thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
+  const thermal::Workload workload = thermal::Workload::burst_idle(
+      cfg, Watt{5.0}, Watt{0.25}, Second{50e-3});
+  const Second period{1e-3};
+  const Second step{0.25e-3};
+  for (const bool controlled : {false, true}) {
+    thermal::ThermalNetwork network{cfg};
+    core::StackMonitor monitor{&network, core::PtSensor::Config{},
+                               core::StackMonitor::uniform_sites(cfg, 2, 2),
+                               44};
+    Rng noise{7};
+    control::Controller::Config control;
+    control.kind = control::PolicyKind::kMigration;
+    control::Controller controller{control, cfg.die_count()};
+    control::StackLoop loop{network, workload, monitor, noise, nullptr,
+                            controlled ? &controller : nullptr};
+    loop.power_on(false);
+    if (controlled) {
+      controller.on_observation(hot_bottom_die(cfg.die_count()));
+      ASSERT_EQ(controller.actuation().migrations.size(), 1u);
+    }
+    Second now{0.0};
+    for (int scan = 0; scan < 100; ++scan) {  // two periods: every phase
+      loop.advance(now, period, step);
+      now += period;
+    }
+    std::size_t phase_changes = 0;
+    std::size_t phase = workload.phase_at(now - step);
+    const std::size_t before = allocations();
+    for (int scan = 0; scan < 1000; ++scan) {
+      loop.advance(now, period, step);
+      for (int k = 0; k < 4; ++k) {
+        const std::size_t next = workload.phase_at(now + step * k);
+        phase_changes += next != phase ? 1 : 0;
+        phase = next;
+      }
+      now += period;
+    }
+    const std::size_t made = allocations() - before;
+    EXPECT_EQ(made, 0u) << (controlled ? "migration controller" : "open loop");
+    EXPECT_GE(phase_changes, 40u);
+  }
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // StackLoop unit tests: power-on, the advance's time arithmetic and early
-// stop, the substep's actuation and tick accounting, the supervised scan's
+// stop, the substep's actuation and tick accounting, the cached phase map
+// against programming every substep from scratch, the supervised scan's
 // placeholders, and forced recalibration when a probe passes.
 #include "control/stack_loop.hpp"
 
@@ -7,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "control/controller.hpp"
@@ -145,6 +147,108 @@ TEST(ControlStackLoop, SubstepRunsUnderTheHeldActuationAndAccountsTheTick) {
   std::vector<Reading> readings = loop.sample_scan();
   loop.settle(0, Second{1e-3}, readings);
   EXPECT_EQ(controller.stats().decisions, 1u);
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// FleetSampler's shape: four_die_stack() under the default burst/idle load
+// in 0.25 ms substeps, 2 s of them (80 phase changes).
+struct FleetShape {
+  thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
+  thermal::Workload workload = thermal::Workload::burst_idle(
+      cfg, Watt{5.0}, Watt{0.25}, Second{50e-3});
+  thermal::ThermalNetwork looped{cfg};  // driven by the loop
+  thermal::ThermalNetwork direct{cfg};  // programmed from scratch
+  core::StackMonitor monitor{&looped, core::PtSensor::Config{},
+                             core::StackMonitor::uniform_sites(cfg, 2, 2),
+                             44};
+  Rng noise{7};
+  static constexpr double kStep = 0.25e-3;
+  static constexpr std::size_t kSubsteps = 8000;
+};
+
+TEST(ControlStackLoop, OpenLoopSubstepsMatchApplyThenStepBitForBit) {
+  FleetShape fx;
+  StackLoop loop{fx.looped, fx.workload, fx.monitor, fx.noise, nullptr,
+                 nullptr};
+  loop.power_on(false);
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < FleetShape::kSubsteps; ++i) {
+    const Second t{FleetShape::kStep * static_cast<double>(i)};
+    loop.substep(t, Second{FleetShape::kStep});
+    fx.workload.apply(fx.direct, t);
+    fx.direct.step(Second{FleetShape::kStep});
+    if (!same_bits(fx.looped.power_map(), fx.direct.power_map()) ||
+        !same_bits(fx.looped.temperatures(), fx.direct.temperatures())) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+/// One scan's observation: `hot` over the migration trip and the ceiling,
+/// the coolest die rotating through the others, the rest in between.
+StackObservation one_hot_die(std::uint64_t scan, std::size_t dies,
+                             std::size_t hot) {
+  StackObservation obs;
+  obs.scan = scan;
+  obs.dies.resize(dies);
+  const std::size_t cool = (hot + 1 + scan % (dies - 1)) % dies;
+  for (std::size_t d = 0; d < dies; ++d) {
+    DieObservation& die = obs.dies[d];
+    die.die = d;
+    die.credible_sites = 4;
+    die.total_sites = 4;
+    const double c = d == hot ? 90.0 : d == cool ? 55.0 : 65.0;
+    die.max_sensed = Celsius{c};
+    die.mean_sensed = Celsius{c};
+  }
+  return obs;
+}
+
+TEST(ControlStackLoop, ControlledSubstepsMatchApplyThenActuateBitForBit) {
+  // The cached map plus actuate() against Workload::apply() + actuate() at
+  // every substep, under migrations, per-die scales and the unscalable
+  // floor; the hot die switches every 100 scans, so moves grow and retract.
+  FleetShape fx;
+  Controller::Config cfg;
+  cfg.kind = PolicyKind::kMigration;
+  cfg.plant.unscalable_fraction = 0.35;
+  Controller controller{cfg, fx.cfg.die_count()};
+  StackLoop loop{fx.looped, fx.workload, fx.monitor, fx.noise, nullptr,
+                 &controller};
+  std::size_t mismatches = 0;
+  std::size_t with_moves = 0;
+  std::size_t with_scaled_die = 0;
+  for (std::size_t i = 0; i < FleetShape::kSubsteps; ++i) {
+    const Second t{FleetShape::kStep * static_cast<double>(i)};
+    loop.substep(t, Second{FleetShape::kStep});
+    fx.workload.apply(fx.direct, t);
+    actuate(fx.direct, controller.actuation(), cfg.plant);
+    fx.direct.step(Second{FleetShape::kStep});
+    if (!same_bits(fx.looped.power_map(), fx.direct.power_map()) ||
+        !same_bits(fx.looped.temperatures(), fx.direct.temperatures())) {
+      ++mismatches;
+    }
+    const Actuation& act = controller.actuation();
+    if (!act.migrations.empty()) ++with_moves;
+    if (std::any_of(act.dies.begin(), act.dies.end(),
+                    [](const DieCommand& c) { return c.power_scale < 1.0; })) {
+      ++with_scaled_die;
+    }
+    if (i % 4 == 3) {  // a scan every 1 ms
+      const std::uint64_t scan = i / 4;
+      controller.on_observation(
+          one_hot_die(scan, fx.cfg.die_count(), scan / 100 % 2 == 0 ? 0 : 3));
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GT(with_moves, FleetShape::kSubsteps / 2);
+  EXPECT_EQ(with_scaled_die, FleetShape::kSubsteps);
+  EXPECT_GT(controller.stats().migrations, 10u);
 }
 
 TEST(ControlStackLoop, QuarantinedSiteGetsAPlaceholderNotAConversion) {

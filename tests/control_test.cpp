@@ -298,8 +298,8 @@ TEST(ControlApply, MigrationConservesTotalPower) {
   thermal::ThermalNetwork network{thermal::StackConfig::four_die_stack()};
   const thermal::Workload workload = one_hot_die(8.0);
 
-  Actuation nominal;  // no commands, no moves: the raw map
-  apply_actuation(workload, network, Second{0.0}, nominal);
+  workload.apply(network, Second{0.0});
+  actuate(network, Actuation{});  // no commands, no moves: the raw map
   const double before = network.total_power().value();
   const double die0 = network.die_power(0).value();
   const double die1 = network.die_power(1).value();
@@ -307,7 +307,8 @@ TEST(ControlApply, MigrationConservesTotalPower) {
   Actuation act;
   act.dies.assign(4, DieCommand{});  // all at nominal scale
   act.migrations.push_back({0, 1, 0.25});
-  apply_actuation(workload, network, Second{0.0}, act);
+  workload.apply(network, Second{0.0});
+  actuate(network, act);
   EXPECT_NEAR(network.total_power().value(), before, 1e-9);
   EXPECT_NEAR(network.die_power(0).value(), die0 * 0.75, 1e-9);
   EXPECT_NEAR(network.die_power(1).value(), die1 + die0 * 0.25, 1e-9);
@@ -324,29 +325,26 @@ TEST(ControlApply, UnscalableFractionFloorsEveryCommand) {
   act.dies.assign(4, DieCommand{});
   act.dies[0].power_scale = 0.0;
   act.dies[1].power_scale = 0.25;  // P3
-  apply_actuation(workload, network, Second{0.0}, act, plant);
+  workload.apply(network, Second{0.0});
+  actuate(network, act, plant);
   EXPECT_NEAR(network.die_power(0).value(), 8.0 * 0.35, 1e-9);
   EXPECT_NEAR(network.die_power(1).value(), 2.0 * (0.35 + 0.65 * 0.25), 1e-9);
 }
 
 TEST(ControlApply, RejectsBadMigrationsAndPlants) {
   thermal::ThermalNetwork network{thermal::StackConfig::four_die_stack()};
-  const thermal::Workload workload = one_hot_die(8.0);
+  one_hot_die(8.0).apply(network, Second{0.0});
   Actuation act;
   act.migrations.push_back({0, 0, 0.1});  // self-migration
-  EXPECT_THROW(apply_actuation(workload, network, Second{0.0}, act),
-               std::invalid_argument);
+  EXPECT_THROW(actuate(network, act), std::invalid_argument);
   act.migrations[0] = {0, 9, 0.1};  // die out of range
-  EXPECT_THROW(apply_actuation(workload, network, Second{0.0}, act),
-               std::invalid_argument);
+  EXPECT_THROW(actuate(network, act), std::invalid_argument);
   act.migrations[0] = {0, 1, 1.5};  // fraction out of range
-  EXPECT_THROW(apply_actuation(workload, network, Second{0.0}, act),
-               std::invalid_argument);
+  EXPECT_THROW(actuate(network, act), std::invalid_argument);
   act.migrations.clear();
   PlantModel plant;
   plant.unscalable_fraction = -0.1;
-  EXPECT_THROW(apply_actuation(workload, network, Second{0.0}, act, plant),
-               std::invalid_argument);
+  EXPECT_THROW(actuate(network, act, plant), std::invalid_argument);
 }
 
 // ------------------------------------------------- controller and plane --

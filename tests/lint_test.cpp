@@ -1150,6 +1150,53 @@ TEST(LintHotPath, SubsetContractBansOnlyListedCategories) {
             std::string::npos);
 }
 
+TEST(LintHotPath, SizedContainerLocalsAllocate) {
+  // Both spellings of a local built with storage: sized by a constructor
+  // argument, and initialized from a call (the result is a fresh buffer).
+  const auto diags = run(
+      {{"src/base/fast.cpp",
+        "#include <string>\n"
+        "#include <vector>\n"
+        "std::vector<double> flows(const std::vector<double>& t);\n"
+        "// hot(alloc): one derivative per node\n"
+        "void by_size(std::size_t n) { std::vector<double> deriv(n); }\n"
+        "// hot(alloc): flows of the current state\n"
+        "void by_init(const std::vector<double>& t) {\n"
+        "  const std::vector<double> flow = flows(t);\n"
+        "}\n"
+        "// hot(alloc): a label per scan\n"
+        "void by_text() { std::string label{\"scan\"}; }\n"}},
+      only({kRuleHotPath}), nullptr, flow_layering());
+  ASSERT_EQ(diags.size(), 3u);
+  EXPECT_TRUE(any_message_contains(
+      diags, "'std::vector deriv' allocates inside 'by_size'"));
+  EXPECT_TRUE(any_message_contains(
+      diags, "'std::vector flow' allocates inside 'by_init'"));
+  EXPECT_TRUE(any_message_contains(
+      diags, "'std::string label' allocates inside 'by_text'"));
+}
+
+TEST(LintHotPath, ReferencesAndEmptyContainersDoNotAllocate) {
+  Stats stats;
+  const auto diags = run(
+      {{"src/base/fast.cpp",
+        "#include <string>\n"
+        "#include <vector>\n"
+        "// hot(alloc): works in caller-owned buffers only\n"
+        "double sum(std::vector<double>& buf, const std::string& name) {\n"
+        "  std::vector<double>& flow = buf;\n"
+        "  const std::string& label = name;\n"
+        "  std::vector<std::pair<int, int>> none;\n"
+        "  std::vector<double> empty{};\n"
+        "  std::string blank = {};\n"
+        "  if (label.find('x') == std::string::npos) return 0.0;\n"
+        "  return flow[0];\n"
+        "}\n"}},
+      only({kRuleHotPath}), &stats, flow_layering());
+  EXPECT_TRUE(diags.empty()) << diags[0].message;
+  EXPECT_EQ(stats.hot_functions, 1);
+}
+
 TEST(LintHotPath, TransitiveCalleeViolationIsDiagnosed) {
   // The hot function itself is clean; its callee (defined in another file)
   // throws, and the ban is enforced one call level deep.

@@ -114,5 +114,14 @@ TEST(WorkloadIo, ParsedTraceRepeats) {
   EXPECT_NEAR(net.die_power(1).value(), 1.0, 1e-12);
 }
 
+TEST(WorkloadIo, TraceNamingAMissingDieThrowsWhenApplied) {
+  // The parser does not know the stack; programming a four-die network with
+  // a directive for die 7 must fail cleanly, not index past the dies.
+  const Workload workload =
+      parse_workload_string("phase 0.01\nuniform 7 2.0\n");
+  ThermalNetwork net{StackConfig::four_die_stack()};
+  EXPECT_THROW(workload.apply(net, Second{0.0}), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace tsvpt::thermal

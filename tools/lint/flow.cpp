@@ -255,6 +255,41 @@ struct HotSummary {
   }
 };
 
+/// The name a local `std::vector<T>` or `std::string` declaration at `i`
+/// declares when it builds the container with a size, contents or an
+/// initializer, which heap-allocates like growth does; "" for anything
+/// else: a reference or pointer, a default-constructed empty container
+/// (`v;`, `v{}`, `v = {}`), a nested name (`std::string::npos`), a range-for
+/// variable or no declaration at all.
+std::string sized_container_local(const std::vector<Token>& toks,
+                                  std::size_t i, std::size_t end) {
+  std::size_t k = i + 1;
+  if (toks[i].text == "vector") {
+    if (k > end || !is_punct(toks[k], "<")) return "";
+    int depth = 0;
+    for (; k <= end; ++k) {
+      if (is_punct(toks[k], "<")) ++depth;
+      if (is_punct(toks[k], ">") && --depth == 0) break;
+    }
+    ++k;  // past the closing '>'
+  }
+  if (k + 2 > end || toks[k].kind != TokKind::kIdentifier) return "";
+  const Token& init = toks[k + 1];
+  const Token& first = toks[k + 2];
+  if (is_punct(init, "(")) {
+    if (is_punct(first, ")")) return "";
+  } else if (is_punct(init, "{")) {
+    if (is_punct(first, "}")) return "";
+  } else if (is_punct(init, "=")) {
+    if (is_punct(first, "{") && k + 3 <= end && is_punct(toks[k + 3], "}")) {
+      return "";
+    }
+  } else {
+    return "";
+  }
+  return toks[k].text;
+}
+
 HotSummary summarize_function(const std::vector<Token>& toks,
                               const FunctionDef& fn,
                               const LayeringConfig& config) {
@@ -277,6 +312,11 @@ HotSummary summarize_function(const std::vector<Token>& toks,
     } else if (alloc_calls().count(t) != 0 && i + 1 < toks.size() &&
                (is_punct(toks[i + 1], "(") || is_punct(toks[i + 1], "<"))) {
       record(&s.alloc, t);
+    } else if ((t == "vector" || t == "string") &&
+               !(i > 0 && (is_punct(toks[i - 1], ".") ||
+                           is_punct(toks[i - 1], "->")))) {
+      const std::string name = sized_container_local(toks, i, end);
+      if (!name.empty()) record(&s.alloc, "std::" + t + " " + name);
     } else if (t == "throw") {
       record(&s.thr, "throw");
     } else if (guard_types().count(t) != 0) {

@@ -19,7 +19,11 @@
 //   hot-path       a function under a `// hot:` contract may not allocate,
 //                  throw, lock, or call IO (or the subset named in
 //                  `// hot(cats):`), enforced transitively one call level
-//                  deep through the cross-TU function index.
+//                  deep through the cross-TU function index.  Allocation
+//                  is `new`, the malloc family, make_unique/make_shared,
+//                  container growth (push_back, resize, ...) and a local
+//                  std::vector or std::string built with a size, contents
+//                  or an initializer.
 //
 // FlowAnalyzer mirrors the Analyzer's two-phase shape: add_file records
 // borrowed views, finish runs the cross-TU passes.  All diagnostics flow
