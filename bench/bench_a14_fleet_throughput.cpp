@@ -22,9 +22,8 @@
 #include "telemetry/aggregator.hpp"
 #include "telemetry/fleet_sampler.hpp"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace tsvpt;
-  const std::string json_dir = bench::json_out_dir(argc, argv);
 
   bench::banner("A14", "fleet telemetry throughput vs worker threads");
   std::printf("hardware threads: %u\n\n",
@@ -41,9 +40,6 @@ int main(int argc, char** argv) {
   table.add_column("lat p95 us", 1);
 
   double base_elapsed = 0.0;
-  double best_frames_s = 0.0;
-  double best_speedup = 0.0;
-  std::uint64_t total_drops = 0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     telemetry::FleetSampler::Config cfg;
     cfg.stack_count = 16;
@@ -63,9 +59,6 @@ int main(int argc, char** argv) {
     if (threads == 1) base_elapsed = elapsed;
     const auto frames = static_cast<double>(sampler.total_frames());
     const double sites_per_frame = 4.0 * 2.0 * 2.0;
-    best_frames_s = std::max(best_frames_s, frames / elapsed);
-    best_speedup = std::max(best_speedup, base_elapsed / elapsed);
-    total_drops += sampler.total_dropped();
     table.add_row({static_cast<double>(threads), elapsed, frames / elapsed,
                    frames * sites_per_frame / elapsed,
                    base_elapsed / elapsed,
@@ -75,11 +68,5 @@ int main(int argc, char** argv) {
                                        : sum.latency.quantile(0.95) * 1e6});
   }
   bench::emit(table, "a14_fleet_throughput");
-  bench::emit_json(
-      json_dir, "a14_fleet_throughput",
-      {{"frames_per_second", best_frames_s, "frames/s", 0.0, true},
-       {"speedup", best_speedup, "ratio", 0.0, true},
-       {"ring_drops", static_cast<double>(total_drops), "frames", 0.0,
-        true}});
   return 0;
 }

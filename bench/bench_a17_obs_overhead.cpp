@@ -90,11 +90,6 @@ int main(int argc, char** argv) {
   table.add_row({1.0, best_on, tput_on});
   table.add_row({0.0, best_off, tput_off});
   bench::emit(table, "a17_obs_overhead");
-  bench::emit_json(
-      bench::json_out_dir(argc, argv), "a17_obs_overhead",
-      {{"overhead_ratio", overhead, "ratio", gate, overhead <= gate},
-       {"frames_per_second_on", tput_on, "frames/s", 0.0, true},
-       {"frames_per_second_off", tput_off, "frames/s", 0.0, true}});
 
   std::printf("overhead: %.2f%% (gate %.0f%%)\n", overhead * 100.0,
               gate * 100.0);

@@ -258,17 +258,12 @@ int main(int argc, char** argv) {
   table.add_column("digest", 3);
 
   bool all_ok = true;
-  double best_frames_s = 0.0;
-  double worst_p99_ms = 0.0;
   const double msites =
       static_cast<double>(corpus.frames() * sites) / 1e6;
   const double wire_mb = static_cast<double>(corpus.wire_bytes()) / 1e6;
   for (const std::size_t shard_count : shard_counts) {
     const RowResult row = run_row(corpus, shard_count, want);
     all_ok = all_ok && row.digest_ok;
-    best_frames_s = std::max(
-        best_frames_s, static_cast<double>(corpus.frames()) / row.seconds);
-    worst_p99_ms = std::max(worst_p99_ms, row.p99_ms);
     table.add_row({static_cast<double>(shard_count),
                    static_cast<double>(corpus.frames()), msites, wire_mb,
                    row.seconds,
@@ -283,10 +278,5 @@ int main(int argc, char** argv) {
   const bool scale_ok = smoke || (stacks >= 1024 && stacks * sites >= 1'000'000);
   std::printf("acceptance: digest %s, scale %s\n",
               all_ok ? "ok" : "FAILED", scale_ok ? "ok" : "FAILED");
-  bench::emit_json(
-      bench::json_out_dir(argc, argv), "a18_ingest_throughput",
-      {{"digest_match", all_ok ? 1.0 : 0.0, "bool", 1.0, all_ok},
-       {"frames_per_second", best_frames_s, "frames/s", 0.0, true},
-       {"e2e_p99", worst_p99_ms, "ms", 0.0, true}});
   return (all_ok && scale_ok) ? 0 : 1;
 }

@@ -253,14 +253,5 @@ int main(int argc, char** argv) {
   std::printf("trace stitch: %zu spans reconciled %s\n", merged_events,
               stitch_ok ? "ok" : "FAILED");
 
-  bench::emit_json(
-      bench::json_out_dir(argc, argv), "a21_trace_overhead",
-      {{"overhead_ratio", overhead, "ratio", gate, overhead_ok},
-       {"clock_offset_ns", static_cast<double>(offset_ns), "ns",
-        static_cast<double>(kOffsetGateNs), clock_ok},
-       {"merged_spans", static_cast<double>(merged_events), "spans", 1.0,
-        stitch_ok},
-       {"delivered", delivered ? 1.0 : 0.0, "bool", 1.0, delivered}});
-
   return (delivered && overhead_ok && clock_ok && stitch_ok) ? 0 : 1;
 }

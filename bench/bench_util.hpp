@@ -2,19 +2,13 @@
 //
 // Every bench regenerates one table/figure from DESIGN.md's evaluation
 // index: it prints an aligned ASCII table to stdout and, when TSVPT_CSV_DIR
-// is set, writes the same rows as CSV for plotting.  Benches with an
-// acceptance gate additionally accept --json-out[=DIR] and drop a
-// machine-readable BENCH_<id>.json (metric/value/unit/threshold/pass per
-// gated quantity) so CI trend tracking does not have to scrape tables.
+// is set, writes the same rows as CSV for plotting.  The machine-readable
+// performance record is perfbench's JSON result line, not these tables.
 #pragma once
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <limits>
 #include <string>
-#include <vector>
 
 #include "core/die_environment.hpp"
 #include "ptsim/table.hpp"
@@ -42,42 +36,6 @@ inline core::DieEnvironment env_at(double t_celsius, Volt dvtn = Volt{0.0},
 
 inline void banner(const std::string& id, const std::string& title) {
   std::cout << "#\n# " << id << ": " << title << "\n#\n";
-}
-
-/// One gated measurement for machine consumption (BENCH_<id>.json row).
-struct JsonMetric {
-  std::string metric;  // e.g. "overhead_ratio"
-  double value = 0.0;
-  std::string unit;       // e.g. "ratio", "frames/s", "ms"
-  double threshold = 0.0;  // the acceptance bound value was compared against
-  bool pass = true;
-};
-
-/// Scan a bench's argv for --json-out[=DIR]; empty string = flag absent
-/// (bare --json-out writes to the current directory).
-[[nodiscard]] inline std::string json_out_dir(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-out") == 0) return ".";
-    if (std::strncmp(argv[i], "--json-out=", 11) == 0) return argv[i] + 11;
-  }
-  return {};
-}
-
-/// Write BENCH_<id>.json to `dir` (no-op when dir is empty).
-inline void emit_json(const std::string& dir, const std::string& id,
-                      const std::vector<JsonMetric>& metrics) {
-  if (dir.empty()) return;
-  std::ofstream out{dir + "/BENCH_" + id + ".json"};
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << "{\n  \"name\": \"" << id << "\",\n  \"metrics\": [\n";
-  for (std::size_t i = 0; i < metrics.size(); ++i) {
-    const JsonMetric& m = metrics[i];
-    out << "    {\"metric\": \"" << m.metric << "\", \"value\": " << m.value
-        << ", \"unit\": \"" << m.unit << "\", \"threshold\": " << m.threshold
-        << ", \"pass\": " << (m.pass ? "true" : "false") << "}"
-        << (i + 1 < metrics.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
 }
 
 }  // namespace tsvpt::bench

@@ -1,13 +1,15 @@
 // Fleet health: failure injection and on-line fault localization on a live
 // stack.  A 36-sensor monitor runs; one sensor dies, one sticks hot.  The
-// spatial fault detector localizes both; the jump detector distinguishes
-// the stuck sensor's instantaneous jump from a real (gradual) hotspot.
+// spatial fault detector localizes both; the health supervisor's temporal
+// check tells the stuck sensor's instantaneous jump from a real (gradual)
+// hotspot, and serves neighbour estimates in place of the broken sites.
 //
 //   $ ./examples/fleet_health
 #include <cstdio>
 #include <memory>
 
 #include "core/fault_detector.hpp"
+#include "core/health_supervisor.hpp"
 #include "core/stack_monitor.hpp"
 #include "process/variation.hpp"
 
@@ -33,12 +35,12 @@ int main() {
   StackMonitor monitor{&network, PtSensor::Config{}, sites, 77};
   monitor.calibrate_all(&rng);
   FaultDetector spatial;
-  JumpDetector temporal;
+  HealthSupervisor supervisor;
 
   auto report = [&](const char* label) {
     const auto sample = monitor.sample_all(&rng);
     const auto verdicts = spatial.analyze(sample);
-    const auto jumped = temporal.feed(sample);
+    const HealthSupervisor::ScanResult health = supervisor.observe(sample);
     std::printf("%s\n", label);
     bool any = false;
     for (const auto& v : verdicts) {
@@ -49,11 +51,20 @@ int main() {
                   v.site_index, sample[v.site_index].die, v.reason.c_str(),
                   v.deviation.value());
     }
-    for (std::size_t s : jumped) {
+    for (const HealthSupervisor::Transition& t : health.transitions) {
       any = true;
-      std::printf("  temporal: site %2zu jumped alone since last scan\n", s);
+      std::printf("  health:   site %2zu %s -> %s — %s\n", t.site_index,
+                  to_string(t.from), to_string(t.to), t.reason.c_str());
     }
     if (!any) std::printf("  all %zu sensors consistent\n", sample.size());
+    if (any && health.transitions.empty()) {
+      std::printf("  health:   no site jumped alone, no transitions\n");
+    }
+    if (health.substituted > 0) {
+      std::printf("  served:   %zu quarantined readings replaced by neighbour "
+                  "estimates\n",
+                  health.substituted);
+    }
     std::printf("\n");
   };
 

@@ -22,11 +22,6 @@ struct OperatingPoint {
     op.vdd = v;
     return op;
   }
-  [[nodiscard]] OperatingPoint with_vt_delta(device::VtDelta d) const {
-    OperatingPoint op = *this;
-    op.vt_delta = d;
-    return op;
-  }
 };
 
 }  // namespace tsvpt::circuit

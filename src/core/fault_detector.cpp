@@ -191,32 +191,4 @@ std::vector<std::size_t> FaultDetector::suspects(
   return out;
 }
 
-std::vector<std::size_t> JumpDetector::feed(
-    const std::vector<StackMonitor::SiteReading>& scan) {
-  std::vector<std::size_t> jumped;
-  if (previous_.size() == scan.size()) {
-    for (std::size_t i = 0; i < scan.size(); ++i) {
-      const double own_move =
-          std::abs(scan[i].sensed.value() - previous_[i].sensed.value());
-      if (own_move <= config_.jump_threshold.value()) continue;
-      // How much did the rest of this die move?
-      double neighbour_move = 0.0;
-      std::size_t neighbours = 0;
-      for (std::size_t j = 0; j < scan.size(); ++j) {
-        if (j == i || scan[j].die != scan[i].die) continue;
-        neighbour_move += std::abs(scan[j].sensed.value() -
-                                   previous_[j].sensed.value());
-        ++neighbours;
-      }
-      if (neighbours == 0) continue;  // lone sensor: cannot disambiguate
-      neighbour_move /= static_cast<double>(neighbours);
-      if (neighbour_move < config_.neighbour_allowance.value()) {
-        jumped.push_back(scan[i].site_index);
-      }
-    }
-  }
-  previous_ = scan;
-  return jumped;
-}
-
 }  // namespace tsvpt::core

@@ -101,34 +101,4 @@ class FaultDetector {
   std::vector<double> row_;
 };
 
-/// Temporal disambiguation between faults and real thermal events: feed it
-/// consecutive scans; a site whose reading jumps faster than physics allows
-/// — while its same-die neighbours barely move — is a fault, not a hotspot
-/// (silicon heats every nearby sensor together; electronics break alone).
-class JumpDetector {
- public:
-  struct Config {
-    /// A site moving more than this between scans is a candidate jump.
-    Celsius jump_threshold{6.0};
-    /// ...unless its die's other sites moved more than this too (a real
-    /// transient moves the neighbourhood).
-    Celsius neighbour_allowance{3.0};
-  };
-
-  JumpDetector() = default;
-  explicit JumpDetector(Config config) : config_(config) {}
-
-  /// Feed the next scan (sites must keep the same order between scans).
-  /// Returns the site indices that jumped alone.  The first scan primes the
-  /// history and returns nothing.
-  [[nodiscard]] std::vector<std::size_t> feed(
-      const std::vector<StackMonitor::SiteReading>& scan);
-
-  void reset() { previous_.clear(); }
-
- private:
-  Config config_{};
-  std::vector<StackMonitor::SiteReading> previous_;
-};
-
 }  // namespace tsvpt::core

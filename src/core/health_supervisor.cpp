@@ -191,7 +191,7 @@ HealthSupervisor::ScanResult HealthSupervisor::observe(
       if (!is_active(i) || !sampled[i] || prev_substituted_[i]) continue;
       const double own_move =
           std::abs(result.readings[i].sensed.value() - prev_served_[i]);
-      if (own_move <= config_.jump.jump_threshold.value()) continue;
+      if (own_move <= config_.jump_threshold.value()) continue;
       double neighbour_move = 0.0;
       std::size_t neighbours = 0;
       for (std::size_t j = 0; j < n; ++j) {
@@ -203,7 +203,7 @@ HealthSupervisor::ScanResult HealthSupervisor::observe(
       }
       if (neighbours == 0) continue;  // lone sensor: cannot disambiguate
       neighbour_move /= static_cast<double>(neighbours);
-      jumped[i] = neighbour_move < config_.jump.neighbour_allowance.value();
+      jumped[i] = neighbour_move < config_.neighbour_allowance.value();
     }
   }
 

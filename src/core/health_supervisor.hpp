@@ -1,6 +1,6 @@
 // Per-site sensor health supervision: the layer that *acts* on fault
-// verdicts.  FaultDetector and JumpDetector only label a scan; the
-// supervisor owns the scan history and drives a per-site state machine
+// verdicts.  FaultDetector only labels a scan; the supervisor owns the
+// scan history and drives a per-site state machine
 //
 //   Healthy -> Suspect -> Quarantined -> Probation -> Healthy
 //                              |                          |
@@ -16,9 +16,10 @@
 //   self-degraded  — the conversion itself failed (dead oscillator,
 //                    saturated counter); unambiguous after a short streak.
 //   temporal jump  — the site moved faster than physics allows while its
-//                    die barely moved (JumpDetector): electronics break
-//                    alone, silicon heats neighbourhoods.  Decisive: one
-//                    jump quarantines.
+//                    die barely moved: electronics break alone, silicon
+//                    heats neighbourhoods.  Decisive: one jump
+//                    quarantines.  The baseline is what was served last
+//                    scan, and only active sites count as neighbours.
 //   spatial        — leave-one-out inconsistency (FaultDetector).  Alone it
 //                    is ambiguous (a point hotspot on one sensor looks
 //                    identical), so it only quarantines when *sustained*
@@ -55,8 +56,12 @@ class HealthSupervisor {
   struct Config {
     /// Spatial leave-one-out cross-check (also the probe-consistency bound).
     FaultDetector::Config fault;
-    /// Temporal disambiguation between faults and real thermal events.
-    JumpDetector::Config jump;
+    /// Temporal disambiguation between faults and real thermal events: a
+    /// site moving more than this between scans is a candidate jump...
+    Celsius jump_threshold{6.0};
+    /// ...unless its die's other active sites moved more than this on
+    /// average too (a real transient moves the neighbourhood).
+    Celsius neighbour_allowance{3.0};
     /// Consecutive self-degraded conversions before quarantine.
     std::size_t degraded_quarantine_scans = 2;
     /// Consecutive spatially-suspect scans (without jump/degraded evidence)
@@ -152,9 +157,8 @@ class HealthSupervisor {
   FieldEstimator estimator_{};
   std::vector<Site> sites_;
   /// Last served value per site — the temporal baseline for jump detection
-  /// (JumpDetector's semantics, inlined here so the check runs against what
-  /// was actually served, with quarantined sites excluded from the
-  /// neighbour average).
+  /// (the check runs against what was actually served, with quarantined
+  /// sites excluded from the neighbour average).
   std::vector<double> prev_served_;
   /// Whether that served value was a substitute: a jump is only evidence
   /// when both endpoints are raw conversions (the step from an estimate

@@ -138,7 +138,7 @@ std::uint32_t FleetView::digest() const {
   return telemetry::crc32(bytes.data(), bytes.size());
 }
 
-obs::SloTracker FleetView::default_slo_tracker() {
+std::vector<obs::SloStatus> FleetView::slo_status() const {
   // 100 ms per stage at 99% is generous for a healthy pipeline (loopback
   // legs run in microseconds) — burning this budget means a stage is
   // genuinely backed up, not just jittering.
@@ -146,11 +146,7 @@ obs::SloTracker FleetView::default_slo_tracker() {
   for (const char* stage : obs::all_stages()) {
     tracker.add(obs::SloTracker::stage_latency_slo(stage, 0.1, 0.99));
   }
-  return tracker;
-}
-
-std::vector<obs::SloStatus> FleetView::slo_status() const {
-  return slo_.evaluate(obs::Registry::instance().snapshot());
+  return tracker.evaluate(obs::Registry::instance().snapshot());
 }
 
 }  // namespace tsvpt::ingest

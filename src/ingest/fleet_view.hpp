@@ -89,13 +89,8 @@ class FleetView {
     return latency_aligned_ > 0 ? "aligned_clock" : "local_clock";
   }
 
-  /// Replace the attached SLO tracker (default: default_slo_tracker()).
-  void set_slo_tracker(obs::SloTracker tracker) {
-    slo_ = std::move(tracker);
-  }
-  /// Serve default: a 99%-under-100ms latency SLO per pipeline stage.
-  [[nodiscard]] static obs::SloTracker default_slo_tracker();
-  /// Evaluate the attached tracker against the live metrics registry.
+  /// Evaluate the serve SLO — 99% under 100 ms per pipeline stage —
+  /// against the live metrics registry.
   [[nodiscard]] std::vector<obs::SloStatus> slo_status() const;
 
   /// Deterministic little-endian serialization of everything aggregated
@@ -118,7 +113,6 @@ class FleetView {
   std::vector<telemetry::HealthEvent> health_log_;
   Samples latency_;
   std::uint64_t latency_aligned_ = 0;
-  obs::SloTracker slo_ = default_slo_tracker();
   bool finalized_ = false;
 };
 

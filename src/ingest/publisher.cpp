@@ -253,9 +253,9 @@ void FleetPublisher::enforce_memory_bound() {
     return n;
   };
   if (!spill_) {
-    // Best-effort mode: bounded queue, drop-oldest (the v1 policy).  The
-    // dropped batches consumed seqs, so the loss is visible server-side as
-    // honest batch gaps rather than silence.
+    // Best-effort mode: bounded queue, drop-oldest (the telemetry ring's
+    // policy, one stage later).  The dropped batches consumed seqs, so the
+    // loss is visible server-side as honest batch gaps rather than silence.
     while (pending_.size() > config_.queue_max_batches) {
       queue_dropped_batches_.fetch_add(1, std::memory_order_relaxed);
       queue_dropped_frames_.fetch_add(pending_.front().frames,

@@ -4,7 +4,7 @@
 // a flaky or absent server — and, with a spill directory, surviving its own
 // SIGKILL.
 //
-// Delivery protocol (TSVB v2): every sealed data batch consumes a
+// Delivery protocol (TSVB v3): every sealed data batch consumes a
 // per-publisher sequence number (starting at 1).  Sent batches wait in an
 // unacked window until the server's cumulative TSVA ack covers them; a
 // reconnect retransmits the whole window in seq order before anything new,

@@ -6,7 +6,7 @@
 // single-process fleet path uses) draining its ring on its own thread, so
 // the scale-out layer reuses the alerting/stats machinery verbatim.
 //
-// Delivery protocol (server half): every validated TSVB v2 batch advances a
+// Delivery protocol (server half): every validated TSVB v3 batch advances a
 // per-publisher cumulative position keyed on the batch header's publisher
 // id — a peer table that outlives individual connections, so a publisher
 // that reconnects (or is killed and restarted against its spill queue) and
@@ -155,11 +155,6 @@ class IngestServer {
   /// Seconds since the server last accepted bytes or a connection (or since
   /// start).  What the CLI's --idle-exit-s watches.
   [[nodiscard]] Second idle_for() const;
-
-  /// True once any publisher has connected.
-  [[nodiscard]] bool ever_connected() const {
-    return connections_total_.load(std::memory_order_relaxed) > 0;
-  }
 
   /// Merge every shard's summary + alert log into one finalized FleetView.
   /// Call after stop().

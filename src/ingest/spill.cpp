@@ -1,19 +1,12 @@
 #include "ingest/spill.hpp"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "net/framing.hpp"
 #include "obs/metrics.hpp"
-#include "store/segment.hpp"
 #include "telemetry/codec_util.hpp"
 
 namespace tsvpt::ingest {
@@ -26,24 +19,6 @@ constexpr const char* kMarkerName = "spill.ack";
 // Record header CRC covers seq + payload_len + frame_count.
 constexpr std::size_t kRecordCrcCoverage = kSpillRecordHeaderSize - 4;
 constexpr std::size_t kMarkerCrcCoverage = kSpillMarkerSize - 4;
-
-[[noreturn]] void throw_errno(const std::string& what,
-                              const std::string& path) {
-  throw std::runtime_error{what + " " + path + ": " + std::strerror(errno)};
-}
-
-void write_all(int fd, const std::uint8_t* data, std::size_t size,
-               const std::string& path) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t n = ::write(fd, data + written, size - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("SpillQueue: write", path);
-    }
-    written += static_cast<std::size_t>(n);
-  }
-}
 
 [[nodiscard]] std::string log_path(const std::string& dir) {
   return (std::filesystem::path(dir) / kLogName).string();
@@ -67,24 +42,8 @@ struct SpillMetrics {
 
 }  // namespace
 
-SpillQueue::SpillQueue(std::string dir, Options options, int fd)
-    : dir_(std::move(dir)), options_(options), fd_(fd) {}
-
-SpillQueue::SpillQueue(SpillQueue&& other) noexcept
-    : dir_(std::move(other.dir_)),
-      options_(other.options_),
-      fd_(other.fd_),
-      log_bytes_(other.log_bytes_),
-      index_(std::move(other.index_)),
-      acked_seq_(other.acked_seq_),
-      next_seq_(other.next_seq_),
-      acks_since_persist_(other.acks_since_persist_),
-      appends_since_sync_(other.appends_since_sync_),
-      appended_(other.appended_),
-      compactions_(other.compactions_),
-      marker_dirty_(other.marker_dirty_) {
-  other.fd_ = -1;
-}
+SpillQueue::SpillQueue(std::string dir, store::RecordLog log)
+    : dir_(std::move(dir)), log_(std::move(log)) {}
 
 SpillQueue::~SpillQueue() {
   try {
@@ -97,7 +56,6 @@ SpillQueue::~SpillQueue() {
 SpillQueue SpillQueue::open(const std::string& dir, Options options,
                             RecoverInfo& info) {
   std::filesystem::create_directories(dir);
-  const std::string path = log_path(dir);
 
   // Load the ack marker first: the scan filters dead records against it.
   std::uint64_t acked = 0;
@@ -107,7 +65,7 @@ SpillQueue SpillQueue::open(const std::string& dir, Options options,
     if (store::read_file(marker_path(dir), m) &&
         m.size() == kSpillMarkerSize &&
         telemetry::get_u32(m.data()) == kSpillAckMagic &&
-        telemetry::get_u16(m.data() + 4) == kSpillVersion &&
+        telemetry::get_u16(m.data() + 4) == kSpillFormat.version &&
         telemetry::get_u32(m.data() + kMarkerCrcCoverage) ==
             telemetry::crc32(m.data(), kMarkerCrcCoverage)) {
       acked = telemetry::get_u64(m.data() + 8);
@@ -116,85 +74,40 @@ SpillQueue SpillQueue::open(const std::string& dir, Options options,
     }
   }
 
-  std::vector<std::uint8_t> bytes;
-  const bool existed = store::read_file(path, bytes);
   std::map<std::uint64_t, Record> index;
-  std::uint64_t valid_bytes = kSpillHeaderSize;
-  bool valid_header = false;
   std::uint64_t max_seq = 0;
-
-  if (existed && bytes.size() >= kSpillHeaderSize &&
-      telemetry::get_u32(bytes.data()) == kSpillMagic &&
-      telemetry::get_u16(bytes.data() + 4) == kSpillVersion) {
-    valid_header = true;
-    std::size_t pos = kSpillHeaderSize;
-    // Forward scan, segment-style: stop at the first torn or corrupt record
-    // and everything before it is trustworthy.
-    while (pos + kSpillRecordHeaderSize <= bytes.size()) {
-      const std::uint8_t* head = bytes.data() + pos;
-      if (telemetry::get_u32(head + kRecordCrcCoverage) !=
-          telemetry::crc32(head, kRecordCrcCoverage)) {
-        break;
-      }
-      const std::uint64_t seq = telemetry::get_u64(head);
-      const std::uint32_t len = telemetry::get_u32(head + 8);
-      const std::uint32_t frames = telemetry::get_u32(head + 12);
-      if (len > net::kMaxBatchPayload + net::kBatchHeaderSize) break;
-      const std::size_t record_end = pos + kSpillRecordHeaderSize + len + 4;
-      if (record_end > bytes.size()) break;  // torn payload
-      const std::uint8_t* payload = head + kSpillRecordHeaderSize;
-      if (telemetry::get_u32(payload + len) != telemetry::crc32(payload, len)) {
-        break;
-      }
-      max_seq = std::max(max_seq, seq);
-      if (seq > acked) {
-        index[seq] = Record{pos + kSpillRecordHeaderSize, len, frames};
-      }
-      pos = record_end;
+  const auto whole = [&](const std::uint8_t* head, std::size_t size,
+                         std::uint64_t offset) -> std::size_t {
+    if (size < kSpillRecordHeaderSize ||
+        telemetry::get_u32(head + kRecordCrcCoverage) !=
+            telemetry::crc32(head, kRecordCrcCoverage)) {
+      return 0;
     }
-    valid_bytes = pos;
-    info.tail_truncated = valid_bytes < bytes.size();
-  }
-
-  int fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
-  if (fd < 0) throw_errno("SpillQueue: open", path);
-
-  if (!valid_header) {
-    // Fresh (or unrecognizable) log: start it over with a clean header,
-    // synced immediately so recovery never sees a header-less file.
-    if (::ftruncate(fd, 0) != 0) {
-      ::close(fd);
-      throw_errno("SpillQueue: truncate", path);
+    const std::uint64_t seq = telemetry::get_u64(head);
+    const std::uint32_t len = telemetry::get_u32(head + 8);
+    const std::uint32_t frames = telemetry::get_u32(head + 12);
+    if (len > net::kMaxBatchPayload + net::kBatchHeaderSize) return 0;
+    const std::size_t record = kSpillRecordHeaderSize + len + 4;
+    if (record > size) return 0;  // torn payload
+    const std::uint8_t* payload = head + kSpillRecordHeaderSize;
+    if (telemetry::get_u32(payload + len) != telemetry::crc32(payload, len)) {
+      return 0;
     }
-    std::vector<std::uint8_t> header;
-    telemetry::put_u32(header, kSpillMagic);
-    telemetry::put_u16(header, kSpillVersion);
-    telemetry::put_u16(header, 0);
-    try {
-      write_all(fd, header.data(), header.size(), path);
-    } catch (...) {
-      ::close(fd);
-      throw;
+    max_seq = std::max(max_seq, seq);
+    if (seq > acked) {
+      index[seq] = Record{offset + kSpillRecordHeaderSize, len, frames};
     }
-    if (::fsync(fd) != 0) {
-      ::close(fd);
-      throw_errno("SpillQueue: fsync", path);
-    }
-    valid_bytes = kSpillHeaderSize;
-    info.tail_truncated = existed && !bytes.empty();
-  } else if (info.tail_truncated) {
-    if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
-      ::close(fd);
-      throw_errno("SpillQueue: truncate torn tail", path);
-    }
-  }
-
-  SpillQueue queue(dir, options, fd);
-  queue.log_bytes_ = valid_bytes;
+    return record;
+  };
+  store::LogScan scan;
+  SpillQueue queue{dir, store::RecordLog::recover(log_path(dir), kSpillFormat,
+                                                  options.fsync_every_batches,
+                                                  whole, scan)};
   queue.index_ = std::move(index);
   queue.acked_seq_ = acked;
   queue.next_seq_ = std::max(next_seq, max_seq + 1);
 
+  info.tail_truncated = queue.log_.tail_truncated();
   info.acked_seq = queue.acked_seq_;
   info.next_seq = queue.next_seq_;
   info.unacked_seqs.reserve(queue.index_.size());
@@ -205,7 +118,6 @@ SpillQueue SpillQueue::open(const std::string& dir, Options options,
 
 void SpillQueue::append(std::uint64_t seq, std::uint32_t frame_count,
                         const std::vector<std::uint8_t>& batch_bytes) {
-  if (fd_ < 0) throw std::runtime_error{"SpillQueue: append after close"};
   std::vector<std::uint8_t> record;
   record.reserve(kSpillRecordHeaderSize + batch_bytes.size() + 4);
   telemetry::put_u64(record, seq);
@@ -218,50 +130,25 @@ void SpillQueue::append(std::uint64_t seq, std::uint32_t frame_count,
                      telemetry::crc32(batch_bytes.data(), batch_bytes.size()));
 
   // One write() per record so a crash tears at most the final record.
-  const std::string path = log_path(dir_);
-  if (::lseek(fd_, static_cast<off_t>(log_bytes_), SEEK_SET) < 0) {
-    throw_errno("SpillQueue: seek", path);
-  }
-  write_all(fd_, record.data(), record.size(), path);
+  const std::uint64_t offset = log_.bytes();
+  log_.append(record);
 
-  index_[seq] = Record{log_bytes_ + kSpillRecordHeaderSize,
+  index_[seq] = Record{offset + kSpillRecordHeaderSize,
                        static_cast<std::uint32_t>(batch_bytes.size()),
                        frame_count};
-  log_bytes_ += record.size();
   if (seq >= next_seq_) {
     next_seq_ = seq + 1;
     marker_dirty_ = true;
   }
-  appended_ += 1;
   metrics_of().appends.inc();
   metrics_of().bytes.add(record.size());
   metrics_of().depth.set(static_cast<double>(index_.size()));
-
-  appends_since_sync_ += 1;
-  if (options_.fsync_every_batches > 0 &&
-      appends_since_sync_ >= options_.fsync_every_batches) {
-    if (::fsync(fd_) != 0) throw_errno("SpillQueue: fsync", path);
-    appends_since_sync_ = 0;
-  }
 }
 
 bool SpillQueue::read(std::uint64_t seq, std::vector<std::uint8_t>& out) const {
   const auto it = index_.find(seq);
-  if (it == index_.end() || fd_ < 0) return false;
-  out.resize(it->second.length);
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const ssize_t n =
-        ::pread(fd_, out.data() + got, out.size() - got,
-                static_cast<off_t>(it->second.offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // truncated underneath us
-    got += static_cast<std::size_t>(n);
-  }
-  return true;
+  return it != index_.end() &&
+         log_.read(it->second.offset, it->second.length, out);
 }
 
 std::uint32_t SpillQueue::frame_count_of(std::uint64_t seq) const {
@@ -276,10 +163,7 @@ void SpillQueue::ack(std::uint64_t acked_seq) {
   index_.erase(index_.begin(), index_.upper_bound(acked_seq));
   metrics_of().depth.set(static_cast<double>(index_.size()));
   acks_since_persist_ += 1;
-  if (options_.persist_marker_every > 0 &&
-      acks_since_persist_ >= options_.persist_marker_every) {
-    persist_marker();
-  }
+  if (acks_since_persist_ >= kSpillMarkerEvery) persist_marker();
   maybe_compact();
 }
 
@@ -295,7 +179,7 @@ void SpillQueue::persist_marker() {
   std::vector<std::uint8_t> m;
   m.reserve(kSpillMarkerSize);
   telemetry::put_u32(m, kSpillAckMagic);
-  telemetry::put_u16(m, kSpillVersion);
+  telemetry::put_u16(m, kSpillFormat.version);
   telemetry::put_u16(m, 0);
   telemetry::put_u64(m, acked_seq_);
   telemetry::put_u64(m, next_seq_);
@@ -307,34 +191,24 @@ void SpillQueue::persist_marker() {
 }
 
 void SpillQueue::maybe_compact() {
-  if (!index_.empty() || fd_ < 0) return;
-  if (log_bytes_ < kSpillHeaderSize + options_.compact_min_bytes) return;
+  if (!index_.empty() || !log_.is_open()) return;
+  if (log_.bytes() < store::kLogHeaderSize + kSpillCompactMinBytes) return;
   // The marker must be durable before the records it supersedes vanish.
   persist_marker();
-  const std::string path = log_path(dir_);
-  if (::ftruncate(fd_, static_cast<off_t>(kSpillHeaderSize)) != 0) {
-    throw_errno("SpillQueue: compact truncate", path);
-  }
-  if (::fsync(fd_) != 0) throw_errno("SpillQueue: compact fsync", path);
-  log_bytes_ = kSpillHeaderSize;
-  appends_since_sync_ = 0;
+  log_.truncate_to_header();
   compactions_ += 1;
   metrics_of().compactions.inc();
 }
 
 void SpillQueue::sync() {
-  if (fd_ >= 0 && ::fsync(fd_) != 0) {
-    throw_errno("SpillQueue: fsync", log_path(dir_));
-  }
-  appends_since_sync_ = 0;
+  log_.sync();
   persist_marker();
 }
 
 void SpillQueue::close() {
-  if (fd_ < 0) return;
+  if (!log_.is_open()) return;
   sync();
-  ::close(fd_);
-  fd_ = -1;
+  log_.close();
 }
 
 }  // namespace tsvpt::ingest

@@ -1,7 +1,7 @@
 // Crash-safe on-disk spill queue for the publisher's unacked batches: a
-// write-ahead log built on the store segment discipline (append-only
-// records, batched fsync, forward-scan torn-tail recovery) plus a tiny
-// atomically-replaced ack marker.
+// write-ahead log kept in a store::RecordLog (append-only records, batched
+// fsync, forward-scan torn-tail recovery — the historian segments' own
+// log) plus a tiny atomically-replaced ack marker.
 //
 // Layout inside the spill directory:
 //
@@ -17,12 +17,13 @@
 // Every sealed batch is appended before its first send attempt, so the log
 // is a superset of whatever the server received.  SIGKILL cannot lose
 // page-cache writes (fsync only matters for power loss), so a killed
-// publisher recovers every record it appended; a torn final record (torn
-// header, short payload, or payload CRC mismatch) is truncated away and the
-// batch it held was by definition never fully sealed on disk — the caller
-// treats it as never enqueued.
+// publisher recovers every record it appended.  A record is whole when its
+// header CRC holds, its length is within the batch-size bound and its
+// payload CRC holds; a torn final record is truncated away (and the
+// truncation synced), and the batch it held was by definition never fully
+// sealed on disk — the caller treats it as never enqueued.
 //
-// The marker is persisted lazily (every `persist_marker_every` acks and on
+// The marker is persisted lazily (every kSpillMarkerEvery acks and on
 // sync/close), so after a crash it may understate acked_seq.  That is safe:
 // resume replays some already-acked batches and the server's dedup drops
 // them — at-least-once on the wire, exactly-once in the FleetView.  The
@@ -30,8 +31,9 @@
 // publisher must never reuse a seq the server may already have acked, even
 // if the corresponding log records were compacted away.
 //
-// Compaction: once every record in the log is acked, the log is truncated
-// back to its header (the marker, already persisted, carries the state).
+// Compaction: once every record in the log is acked and the log holds at
+// least kSpillCompactMinBytes of dead records, it is truncated back to its
+// header (the marker, already persisted, carries the state).
 #pragma once
 
 #include <cstdint>
@@ -39,14 +41,20 @@
 #include <string>
 #include <vector>
 
+#include "store/segment.hpp"
+
 namespace tsvpt::ingest {
 
-inline constexpr std::uint32_t kSpillMagic = 0x51565354u;   // "TSVQ" LE
+/// "TSVQ" little-endian, version 1.
+inline constexpr store::LogFormat kSpillFormat{0x51565354u, 1};
 inline constexpr std::uint32_t kSpillAckMagic = 0x4D565354u;  // "TSVM" LE
-inline constexpr std::uint16_t kSpillVersion = 1;
-inline constexpr std::size_t kSpillHeaderSize = 8;
 inline constexpr std::size_t kSpillRecordHeaderSize = 20;
 inline constexpr std::size_t kSpillMarkerSize = 28;
+/// Rewrite the ack marker every this many ack advances (plus on sync/close).
+inline constexpr std::uint64_t kSpillMarkerEvery = 64;
+/// Compact once everything is acked and the log holds at least this many
+/// bytes of dead records.
+inline constexpr std::uint64_t kSpillCompactMinBytes = 1u << 20;
 
 class SpillQueue {
  public:
@@ -55,11 +63,6 @@ class SpillQueue {
     /// survival does not need fsync at all (page cache persists); this is
     /// the power-loss knob, same as the historian's.
     std::size_t fsync_every_batches = 8;
-    /// Rewrite the ack marker every N ack advances (plus on sync/close).
-    std::uint64_t persist_marker_every = 64;
-    /// Compact (truncate the log to its header) once everything is acked
-    /// and the log holds at least this many bytes of dead records.
-    std::uint64_t compact_min_bytes = 1u << 20;
   };
 
   /// What open() found on disk.
@@ -80,7 +83,7 @@ class SpillQueue {
   static SpillQueue open(const std::string& dir, Options options,
                          RecoverInfo& info);
 
-  SpillQueue(SpillQueue&& other) noexcept;
+  SpillQueue(SpillQueue&& other) noexcept = default;
   SpillQueue& operator=(SpillQueue&&) = delete;
   SpillQueue(const SpillQueue&) = delete;
   SpillQueue& operator=(const SpillQueue&) = delete;
@@ -108,14 +111,13 @@ class SpillQueue {
   /// fsync the log and persist the marker now.
   void sync();
 
-  /// sync() and close the log fd; further appends throw.  Idempotent.
+  /// sync() and close the log; further appends throw.  Idempotent.
   void close();
 
   [[nodiscard]] std::uint64_t acked_seq() const { return acked_seq_; }
   /// Batches appended but not yet acked (the durable window depth).
   [[nodiscard]] std::size_t depth() const { return index_.size(); }
-  [[nodiscard]] std::uint64_t log_bytes() const { return log_bytes_; }
-  [[nodiscard]] std::uint64_t appended() const { return appended_; }
+  [[nodiscard]] std::uint64_t log_bytes() const { return log_.bytes(); }
   [[nodiscard]] std::uint64_t compactions() const { return compactions_; }
   [[nodiscard]] const std::string& dir() const { return dir_; }
 
@@ -126,22 +128,18 @@ class SpillQueue {
     std::uint32_t frames = 0;
   };
 
-  SpillQueue(std::string dir, Options options, int fd);
+  SpillQueue(std::string dir, store::RecordLog log);
 
   void persist_marker();
   void maybe_compact();
 
   std::string dir_;
-  Options options_;
-  int fd_ = -1;
-  std::uint64_t log_bytes_ = 0;
+  store::RecordLog log_;
   /// Live (unacked) records still addressable in the log.
   std::map<std::uint64_t, Record> index_;
   std::uint64_t acked_seq_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t acks_since_persist_ = 0;
-  std::size_t appends_since_sync_ = 0;
-  std::uint64_t appended_ = 0;
   std::uint64_t compactions_ = 0;
   bool marker_dirty_ = false;
 };

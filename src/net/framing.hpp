@@ -106,9 +106,9 @@ inline constexpr std::uint16_t kBatchFlagFin = 1u << 1;
 /// that has not completed a round trip yet sends 0 without this flag).
 inline constexpr std::uint16_t kBatchFlagOffsetValid = 1u << 2;
 
-/// Per-batch metadata stamped into the v3 header.  The defaults encode
-/// "anonymous best-effort publisher" so v1-era call sites that only pass
-/// frames still produce valid batches (seq 0 batches bypass dedup).
+/// Per-batch metadata stamped into the v3 header.  The defaults encode an
+/// anonymous best-effort publisher: a caller that passes only frames gets a
+/// valid unsequenced batch (seq 0 batches bypass ack and dedup).
 struct BatchMeta {
   std::uint64_t publisher_id = 0;
   /// Data batch sequence, starting at 1; 0 = unsequenced (no ack/dedup).

@@ -25,10 +25,8 @@ MonitoringSession::MonitoringSession(thermal::ThermalNetwork* network,
 
 void MonitoringSession::run(Second duration) {
   trace_.clear();
-  control::Controller* controller = config_.controller;
-  if (controller != nullptr) controller->reset();
   control::StackLoop loop{*network_, *workload_, *monitor_, noise_,
-                          /*supervisor=*/nullptr, controller};
+                          /*supervisor=*/nullptr, /*controller=*/nullptr};
   loop.power_on(config_.start_at_steady_state);
 
   // A whole number of scans: the epsilon absorbs the float residue of a

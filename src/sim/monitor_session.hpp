@@ -1,14 +1,13 @@
 // Plays a workload against the thermal simulator while the sensor network
 // samples on a fixed period — producing the sensed-vs-true tracking traces
 // of the stack experiments (F5) and the examples.  Each scan is one
-// control::StackLoop round: advance one sample period, then sample (and
-// decide, when a controller is attached).
+// open-loop control::StackLoop round: advance one sample period, then
+// sample.  Closed loops run through control::run_closed_loop.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "control/controller.hpp"
 #include "core/stack_monitor.hpp"
 #include "ptsim/rng.hpp"
 #include "ptsim/stats.hpp"
@@ -42,11 +41,6 @@ class MonitoringSession {
     /// (pinned by MonitoringSession.TdmReadoutSkewsLaterSitesTowardNewer-
     /// ThermalState).
     Second readout_slot{0.0};
-    /// Closed-loop seam (not owned; must outlive run()): each scan is fed
-    /// to the controller, and every thermal step runs under its held
-    /// actuation instead of the raw workload map.  The controller is reset
-    /// at the start of run().  nullptr = open-loop (the default).
-    control::Controller* controller = nullptr;
   };
 
   /// All pointers must outlive the session.

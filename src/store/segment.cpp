@@ -30,13 +30,22 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size,
     const ssize_t n = ::write(fd, data + written, size - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw_errno("SegmentWriter: write", path);
+      throw_errno("RecordLog: write", path);
     }
     written += static_cast<std::size_t>(n);
   }
 }
 
 }  // namespace
+
+std::vector<std::uint8_t> LogFormat::header() const {
+  std::vector<std::uint8_t> out;
+  out.reserve(kLogHeaderSize);
+  telemetry::put_u32(out, magic);
+  telemetry::put_u16(out, version);
+  telemetry::put_u16(out, 0);
+  return out;
+}
 
 std::uint64_t SegmentIndex::frames() const {
   std::uint64_t total = 0;
@@ -102,105 +111,149 @@ void sync_dir(const std::string& dir) {
   ::close(fd);
 }
 
+RecordCheck block_check(std::vector<BlockIndexEntry>& blocks) {
+  return [&blocks](const std::uint8_t* data, std::size_t size,
+                   std::uint64_t offset) -> std::size_t {
+    BlockHeader header;
+    if (parse_block_header(data, size, header) != BlockStatus::kOk) return 0;
+    const std::size_t record = header.record_size();
+    if (size < record) return 0;  // payload torn
+    blocks.push_back({offset, record, std::move(header)});
+    return record;
+  };
+}
+
 SegmentIndex scan_segment(const std::string& path) {
   SegmentIndex index;
   index.path = path;
-  std::vector<std::uint8_t> bytes;
-  if (!read_file(path, bytes)) return index;
-  index.file_bytes = bytes.size();
-  if (bytes.size() < kSegmentHeaderSize ||
-      telemetry::get_u32(bytes.data()) != kSegmentMagic ||
-      telemetry::get_u16(bytes.data() + 4) != kSegmentVersion) {
-    return index;  // not a segment (or its very first write was torn)
-  }
-  index.valid_header = true;
-  std::size_t pos = kSegmentHeaderSize;
-  while (pos < bytes.size()) {
-    BlockHeader header;
-    const BlockStatus status =
-        parse_block_header(bytes.data() + pos, bytes.size() - pos, header);
-    if (status != BlockStatus::kOk) break;
-    const std::size_t record = header.record_size();
-    if (bytes.size() - pos < record) break;  // payload torn
-    index.blocks.push_back({pos, record, std::move(header)});
-    pos += record;
-  }
-  index.valid_bytes = pos;
+  RecordLog::scan(path, kSegmentFormat, block_check(index.blocks), index);
   return index;
 }
 
-SegmentWriter SegmentWriter::create(const std::string& path,
-                                    Options options) {
-  const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("SegmentWriter: create", path);
-  std::vector<std::uint8_t> header;
-  telemetry::put_u32(header, kSegmentMagic);
-  telemetry::put_u16(header, kSegmentVersion);
-  telemetry::put_u16(header, 0);
-  write_all(fd, header.data(), header.size(), path);
-  if (::fsync(fd) != 0) throw_errno("SegmentWriter: fsync", path);
-  return SegmentWriter{path, options, fd, kSegmentHeaderSize, false};
+// ---------------------------------------------------------------------------
+// RecordLog
+
+void RecordLog::scan(const std::string& path, LogFormat format,
+                     const RecordCheck& whole, LogScan& out) {
+  out = LogScan{};
+  std::vector<std::uint8_t> bytes;
+  if (!read_file(path, bytes)) return;
+  out.file_bytes = bytes.size();
+  if (bytes.size() < kLogHeaderSize ||
+      telemetry::get_u32(bytes.data()) != format.magic ||
+      telemetry::get_u16(bytes.data() + 4) != format.version) {
+    return;  // not this format (or its very first write was torn)
+  }
+  out.valid_header = true;
+  std::size_t pos = kLogHeaderSize;
+  while (pos < bytes.size()) {
+    const std::size_t record = whole(bytes.data() + pos, bytes.size() - pos,
+                                     pos);
+    if (record == 0 || record > bytes.size() - pos) break;
+    pos += record;
+  }
+  out.valid_bytes = pos;
 }
 
-SegmentWriter SegmentWriter::recover(const std::string& path,
-                                     Options options,
-                                     SegmentIndex& recovered) {
-  recovered = scan_segment(path);
+RecordLog RecordLog::create(const std::string& path, LogFormat format,
+                            std::size_t fsync_every) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw_errno("RecordLog: create", path);
+  // Owned from here: a throw below closes the descriptor.
+  RecordLog log{path, fsync_every, fd, 0, false};
+  const std::vector<std::uint8_t> header = format.header();
+  write_all(fd, header.data(), header.size(), path);
+  if (::fsync(fd) != 0) throw_errno("RecordLog: fsync", path);
+  log.bytes_ = header.size();
+  return log;
+}
+
+RecordLog RecordLog::recover(const std::string& path, LogFormat format,
+                             std::size_t fsync_every,
+                             const RecordCheck& whole, LogScan& recovered) {
+  scan(path, format, whole, recovered);
   if (!recovered.valid_header) {
     // Nothing recoverable (torn before the header landed): start fresh.
-    SegmentWriter writer = create(path, options);
-    writer.tail_truncated_ = recovered.file_bytes > 0;
-    return writer;
+    RecordLog log = create(path, format, fsync_every);
+    log.tail_truncated_ = recovered.file_bytes > 0;
+    return log;
   }
-  const int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) throw_errno("SegmentWriter: open", path);
-  const bool torn = recovered.torn_tail();
-  if (torn) {
+  const int fd = ::open(path.c_str(), O_RDWR);
+  if (fd < 0) throw_errno("RecordLog: open", path);
+  RecordLog log{path, fsync_every, fd, recovered.valid_bytes,
+                recovered.torn_tail()};
+  if (log.tail_truncated_) {
     if (::ftruncate(fd, static_cast<off_t>(recovered.valid_bytes)) != 0) {
-      throw_errno("SegmentWriter: ftruncate", path);
+      throw_errno("RecordLog: ftruncate", path);
     }
-    if (::fsync(fd) != 0) throw_errno("SegmentWriter: fsync", path);
+    if (::fsync(fd) != 0) throw_errno("RecordLog: fsync", path);
   }
   if (::lseek(fd, static_cast<off_t>(recovered.valid_bytes), SEEK_SET) < 0) {
-    throw_errno("SegmentWriter: lseek", path);
+    throw_errno("RecordLog: lseek", path);
   }
-  return SegmentWriter{path, options, fd, recovered.valid_bytes, torn};
+  return log;
 }
 
-SegmentWriter::SegmentWriter(std::string path, Options options, int fd,
-                             std::uint64_t bytes, bool tail_truncated)
-    : path_(std::move(path)), options_(options), fd_(fd), bytes_(bytes),
-      tail_truncated_(tail_truncated) {}
+RecordLog::RecordLog(std::string path, std::size_t fsync_every, int fd,
+                     std::uint64_t bytes, bool tail_truncated)
+    : path_(std::move(path)), fsync_every_(fsync_every), fd_(fd),
+      bytes_(bytes), tail_truncated_(tail_truncated) {}
 
-SegmentWriter::SegmentWriter(SegmentWriter&& other) noexcept
-    : path_(std::move(other.path_)), options_(other.options_),
+RecordLog::RecordLog(RecordLog&& other) noexcept
+    : path_(std::move(other.path_)), fsync_every_(other.fsync_every_),
       fd_(std::exchange(other.fd_, -1)), bytes_(other.bytes_),
-      blocks_appended_(other.blocks_appended_),
-      blocks_since_sync_(other.blocks_since_sync_),
+      records_appended_(other.records_appended_),
+      records_since_sync_(other.records_since_sync_),
       fsync_count_(other.fsync_count_),
       tail_truncated_(other.tail_truncated_) {}
 
-SegmentWriter::~SegmentWriter() {
+RecordLog::~RecordLog() {
   if (fd_ >= 0) {
     ::fsync(fd_);
     ::close(fd_);
   }
 }
 
-void SegmentWriter::append_block(const std::vector<std::uint8_t>& record) {
-  if (fd_ < 0) throw std::logic_error{"SegmentWriter: closed"};
+void RecordLog::append(const std::vector<std::uint8_t>& record) {
+  if (fd_ < 0) throw std::logic_error{"RecordLog: closed " + path_};
   write_all(fd_, record.data(), record.size(), path_);
   bytes_ += record.size();
-  blocks_appended_ += 1;
-  blocks_since_sync_ += 1;
-  if (options_.fsync_every_blocks > 0 &&
-      blocks_since_sync_ >= options_.fsync_every_blocks) {
-    sync();
-  }
+  records_appended_ += 1;
+  records_since_sync_ += 1;
+  if (fsync_every_ > 0 && records_since_sync_ >= fsync_every_) sync();
 }
 
-void SegmentWriter::sync() {
+bool RecordLog::read(std::uint64_t offset, std::size_t size,
+                     std::vector<std::uint8_t>& out) const {
+  if (fd_ < 0) return false;
+  out.resize(size);
+  std::size_t got = 0;
+  while (got < size) {
+    const ssize_t n = ::pread(fd_, out.data() + got, size - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (n == 0) return false;  // truncated underneath us
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+void RecordLog::truncate_to_header() {
+  if (fd_ < 0) throw std::logic_error{"RecordLog: closed " + path_};
+  if (::ftruncate(fd_, static_cast<off_t>(kLogHeaderSize)) != 0) {
+    throw_errno("RecordLog: ftruncate", path_);
+  }
+  if (::lseek(fd_, static_cast<off_t>(kLogHeaderSize), SEEK_SET) < 0) {
+    throw_errno("RecordLog: lseek", path_);
+  }
+  bytes_ = kLogHeaderSize;
+  sync();
+}
+
+void RecordLog::sync() {
   if (fd_ < 0) return;
   // fsync dominates the historian's tail latency; a dedicated histogram
   // makes its cost visible next to the (cheap) encode/compress spans.
@@ -208,13 +261,13 @@ void SegmentWriter::sync() {
   static const obs::Histogram fsync_seconds =
       obs::histogram("tsvpt_store_fsync_seconds");
   const obs::ObsSpan fsync_span{"store", "fsync", fsync_seconds};
-  if (::fsync(fd_) != 0) throw_errno("SegmentWriter: fsync", path_);
+  if (::fsync(fd_) != 0) throw_errno("RecordLog: fsync", path_);
   fsyncs.inc();
   fsync_count_ += 1;
-  blocks_since_sync_ = 0;
+  records_since_sync_ = 0;
 }
 
-void SegmentWriter::close() {
+void RecordLog::close() {
   if (fd_ < 0) return;
   sync();
   ::close(fd_);

@@ -11,7 +11,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "telemetry/codec_util.hpp"
 
 namespace tsvpt::store {
 
@@ -166,13 +165,8 @@ CompactionReport run_compaction(const std::string& dir,
       // surviving records verbatim (no recompression), atomically.
       std::vector<std::uint8_t> bytes;
       if (!read_file(segment.path, bytes)) continue;
-      std::vector<std::uint8_t> out;
+      std::vector<std::uint8_t> out = kSegmentFormat.header();
       out.reserve(segment.valid_bytes);
-      std::vector<std::uint8_t> header;
-      telemetry::put_u32(header, kSegmentMagic);
-      telemetry::put_u16(header, kSegmentVersion);
-      telemetry::put_u16(header, 0);
-      out.insert(out.end(), header.begin(), header.end());
       std::vector<BlockIndexEntry> kept;
       for (const BlockIndexEntry& block : segment.blocks) {
         if (expired(block)) {
@@ -256,9 +250,11 @@ StoreWriter::StoreWriter(std::string dir, StoreOptions options)
   // Only the newest segment can be torn (older ones were synced before the
   // roll); recover it and resume appending there if it still has room.
   SegmentIndex recovered;
-  SegmentWriter writer = SegmentWriter::recover(
-      files.back(), {options_.fsync_every_blocks}, recovered);
-  if (writer.tail_truncated()) {
+  recovered.path = files.back();
+  RecordLog log = RecordLog::recover(recovered.path, kSegmentFormat,
+                                     options_.fsync_every_blocks,
+                                     block_check(recovered.blocks), recovered);
+  if (log.tail_truncated()) {
     torn_tail_recoveries_ += 1;
     StoreMetrics::get().torn_tails.inc();
   }
@@ -267,10 +263,10 @@ StoreWriter::StoreWriter(std::string dir, StoreOptions options)
                            : block.header.t_max;
     saw_frame_ = true;
   }
-  if (writer.bytes() < options_.segment_bytes) {
-    open_segment_.push_back(std::move(writer));
+  if (log.bytes() < options_.segment_bytes) {
+    open_segment_.emplace(std::move(log));
   } else {
-    writer.close();
+    log.close();
   }
 }
 
@@ -303,23 +299,24 @@ void StoreWriter::on_frame(const telemetry::Frame& frame,
 void StoreWriter::seal_block_locked() {
   const StoreMetrics& metrics = StoreMetrics::get();
   // One span covers compress + append (+ the amortized fsync inside
-  // append_block); segment rolls get their own span since they add a
+  // append); segment rolls get their own span since they add a
   // close-with-fsync and a create.
   const obs::ObsSpan seal_span{"store", "seal_block", metrics.seal_seconds,
                                builder_.frame_count()};
   const std::vector<std::uint8_t> record = builder_.seal();
-  if (open_segment_.empty()) {
-    open_segment_.push_back(SegmentWriter::create(
-        segment_path(next_segment_index_), {options_.fsync_every_blocks}));
+  if (!open_segment_) {
+    open_segment_.emplace(RecordLog::create(segment_path(next_segment_index_),
+                                            kSegmentFormat,
+                                            options_.fsync_every_blocks));
     next_segment_index_ += 1;
   }
-  open_segment_.front().append_block(record);
+  open_segment_->append(record);
   metrics.blocks_sealed.inc();
   metrics.bytes_written.add(record.size());
-  if (open_segment_.front().bytes() >= options_.segment_bytes) {
+  if (open_segment_->bytes() >= options_.segment_bytes) {
     const obs::ObsSpan roll_span{"store", "segment_roll"};
-    open_segment_.front().close();
-    open_segment_.clear();  // the next seal opens the successor
+    open_segment_->close();
+    open_segment_.reset();  // the next seal opens the successor
     metrics.segment_rolls.inc();
   }
 }
@@ -328,15 +325,15 @@ void StoreWriter::flush() {
   std::lock_guard<std::mutex> lock{mutex_};
   if (closed_) return;
   if (!builder_.empty()) seal_block_locked();
-  if (!open_segment_.empty()) open_segment_.front().sync();
+  if (open_segment_) open_segment_->sync();
 }
 
 void StoreWriter::close_locked() {
   if (closed_) return;
   if (!builder_.empty()) seal_block_locked();
-  if (!open_segment_.empty()) {
-    open_segment_.front().close();
-    open_segment_.clear();
+  if (open_segment_) {
+    open_segment_->close();
+    open_segment_.reset();
   }
   closed_ = true;
 }
@@ -353,7 +350,7 @@ CompactionReport StoreWriter::compact(const Retention& retention) {
   {
     std::lock_guard<std::mutex> lock{mutex_};
     const std::string open_path =
-        open_segment_.empty() ? std::string{} : open_segment_.front().path();
+        open_segment_ ? open_segment_->path() : std::string{};
     for (std::string& file : list_segment_files(dir_)) {
       if (file != open_path) sealed.push_back(std::move(file));
     }

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -145,7 +146,7 @@ class StoreWriter : public telemetry::FrameSink {
   /// the brief snapshot of the sealed-file list.
   std::mutex compact_mutex_;
   BlockBuilder builder_;
-  std::vector<SegmentWriter> open_segment_;  // 0 or 1 (no default ctor)
+  std::optional<RecordLog> open_segment_;
   std::uint64_t next_segment_index_ = 1;
   bool closed_ = false;
   std::uint64_t torn_tail_recoveries_ = 0;

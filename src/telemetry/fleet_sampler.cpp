@@ -331,10 +331,6 @@ void FleetSampler::resume_worker(std::size_t worker_index) {
   gate.cv.notify_all();
 }
 
-void FleetSampler::resume_all() {
-  for (std::size_t w = 0; w < gates_.size(); ++w) resume_worker(w);
-}
-
 std::vector<core::HealthSupervisor::Transition> FleetSampler::transitions(
     std::size_t stack) const {
   return stacks_.at(stack)->loop.transitions();

@@ -183,7 +183,6 @@ class FleetSampler {
   /// Un-park worker w; no-op when it is not stalled (safe from the
   /// Aggregator's watchdog callback even after the worker finished).
   void resume_worker(std::size_t worker_index);
-  void resume_all();
 
   /// Health-transition log of stack k's supervisor (empty unless
   /// Config::supervise; valid after run()).

@@ -183,11 +183,6 @@ void ThermalNetwork::set_cell_power(std::size_t die, std::size_t ix,
   power_[node_index(die, ix, iy)] = p.value();
 }
 
-void ThermalNetwork::add_cell_power(std::size_t die, std::size_t ix,
-                                    std::size_t iy, Watt p) {
-  power_[node_index(die, ix, iy)] += p.value();
-}
-
 void ThermalNetwork::set_uniform_power(std::size_t die, Watt total) {
   const DieGeometry& geom = config_.dies.at(die);
   const double per_cell =

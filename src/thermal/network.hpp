@@ -43,7 +43,6 @@ class ThermalNetwork {
   // -- Power injection ------------------------------------------------------
   void clear_power();
   void set_cell_power(std::size_t die, std::size_t ix, std::size_t iy, Watt p);
-  void add_cell_power(std::size_t die, std::size_t ix, std::size_t iy, Watt p);
   /// Spread `total` uniformly over one die.
   void set_uniform_power(std::size_t die, Watt total);
   /// Gaussian hotspot centered at `center` with the given radius, carrying

@@ -19,17 +19,21 @@ double number(std::istringstream& in, int line, const char* what) {
   return value;
 }
 
-std::size_t index(std::istringstream& in, int line, const char* what) {
+std::size_t die_index(std::istringstream& in, int line,
+                      const StackConfig& stack) {
   long long value = 0;
-  if (!(in >> value) || value < 0) {
-    fail(line, std::string{"missing/invalid "} + what);
+  if (!(in >> value) || value < 0) fail(line, "missing/invalid die index");
+  const auto die = static_cast<std::size_t>(value);
+  if (die >= stack.die_count()) {
+    fail(line, "die " + std::to_string(die) + " out of range (the stack has " +
+                   std::to_string(stack.die_count()) + " dies)");
   }
-  return static_cast<std::size_t>(value);
+  return die;
 }
 
 }  // namespace
 
-Workload parse_workload(std::istream& in) {
+Workload parse_workload(std::istream& in, const StackConfig& stack) {
   std::vector<WorkloadPhase> phases;
   std::string raw;
   int line_number = 0;
@@ -56,11 +60,11 @@ Workload parse_workload(std::istream& in) {
     PowerDirective directive;
     if (keyword == "uniform") {
       directive.kind = PowerDirective::Kind::kUniform;
-      directive.die = index(fields, line_number, "die index");
+      directive.die = die_index(fields, line_number, stack);
       directive.total = Watt{number(fields, line_number, "watts")};
     } else if (keyword == "hotspot") {
       directive.kind = PowerDirective::Kind::kHotspot;
-      directive.die = index(fields, line_number, "die index");
+      directive.die = die_index(fields, line_number, stack);
       directive.total = Watt{number(fields, line_number, "watts")};
       directive.center.x = number(fields, line_number, "x");
       directive.center.y = number(fields, line_number, "y");
@@ -82,15 +86,16 @@ Workload parse_workload(std::istream& in) {
   return Workload{std::move(phases)};
 }
 
-Workload parse_workload_string(const std::string& text) {
+Workload parse_workload_string(const std::string& text,
+                               const StackConfig& stack) {
   std::istringstream in{text};
-  return parse_workload(in);
+  return parse_workload(in, stack);
 }
 
-Workload load_workload(const std::string& path) {
+Workload load_workload(const std::string& path, const StackConfig& stack) {
   std::ifstream in{path};
   if (!in) throw std::runtime_error{"cannot open workload trace: " + path};
-  return parse_workload(in);
+  return parse_workload(in, stack);
 }
 
 std::string to_trace_string(const Workload& workload) {

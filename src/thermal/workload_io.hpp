@@ -10,19 +10,25 @@
 //   phase 0.020 idle
 //   uniform 0 0.5
 //
-// Parse errors carry line numbers.  Serialization round-trips.
+// A trace is parsed against the stack it will play on, so a directive
+// naming a die the stack lacks is a parse error.  Parse errors carry line
+// numbers.  Serialization round-trips.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
+#include "thermal/stack_config.hpp"
 #include "thermal/workload.hpp"
 
 namespace tsvpt::thermal {
 
-[[nodiscard]] Workload parse_workload(std::istream& in);
-[[nodiscard]] Workload parse_workload_string(const std::string& text);
-[[nodiscard]] Workload load_workload(const std::string& path);
+[[nodiscard]] Workload parse_workload(std::istream& in,
+                                      const StackConfig& stack);
+[[nodiscard]] Workload parse_workload_string(const std::string& text,
+                                             const StackConfig& stack);
+[[nodiscard]] Workload load_workload(const std::string& path,
+                                     const StackConfig& stack);
 
 [[nodiscard]] std::string to_trace_string(const Workload& workload);
 void save_workload(const Workload& workload, const std::string& path);

@@ -1,7 +1,7 @@
 // Controller-in-the-loop integration tests: runaway containment, graceful
 // degradation on sensor loss, ladder and gating behaviour on a hot die, the
-// MonitoringSession actuation seam, the FleetSampler's hook and decision
-// order, and thread-count invariance of a fleet chaos campaign.
+// FleetSampler's hook and decision order, and thread-count invariance of a
+// fleet chaos campaign.
 #include "control/eval.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "inject/fault_plan.hpp"
 #include "inject/injectors.hpp"
 #include "process/variation.hpp"
-#include "sim/monitor_session.hpp"
 #include "telemetry/fleet_sampler.hpp"
 #include "thermal/leakage.hpp"
 #include "thermal/workload.hpp"
@@ -197,40 +196,6 @@ TEST(ControlLoop, QuarantinedFallbackNeverReadsTheDeadSite) {
   EXPECT_GT(skipped_conversions, 0u);  // the skip path actually engaged
   EXPECT_GT(result.stats.blind_scans, 0u);
   EXPECT_DOUBLE_EQ(result.stats.violation_s, 0.0);
-}
-
-TEST(ControlLoop, SessionControllerSeamLowersPeakTemperature) {
-  const thermal::StackConfig stack = thermal::StackConfig::four_die_stack();
-  const thermal::Workload workload = top_die_workload(14.0);
-
-  const auto peak_truth = [&](Controller* controller) {
-    thermal::ThermalNetwork network{stack};
-    std::vector<core::SensorSite> sites = make_sites(stack, 7);
-    core::StackMonitor monitor{&network, core::PtSensor::Config{}, sites, 9};
-    sim::MonitoringSession::Config cfg;
-    cfg.sample_period = Second{2e-3};
-    cfg.thermal_step = Second{1e-3};
-    cfg.start_at_steady_state = false;
-    cfg.controller = controller;
-    sim::MonitoringSession session{&network, &workload, &monitor, cfg, 13};
-    session.run(Second{300e-3});
-    double peak = -273.15;
-    for (const sim::SamplePoint& p : session.trace()) {
-      for (const core::StackMonitor::SiteReading& r : p.readings) {
-        peak = std::max(peak, r.truth.value());
-      }
-    }
-    return peak;
-  };
-
-  const double open_loop = peak_truth(nullptr);
-  Controller::Config cfg = loop_config(PolicyKind::kDvfsLadder);
-  cfg.policy.ceiling = Celsius{45.0};
-  cfg.policy.floor = Celsius{40.0};
-  Controller controller{cfg, stack.die_count()};
-  const double closed_loop = peak_truth(&controller);
-  EXPECT_LT(closed_loop, open_loop - 2.0);
-  EXPECT_GT(controller.stats().decisions, 0u);
 }
 
 /// One central sensor per die; die 0 carries the load.

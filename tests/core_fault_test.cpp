@@ -448,60 +448,5 @@ TEST(FaultDetectorTest, OverCapLayoutKeepsNoTableAndMatchesTheReference) {
   EXPECT_EQ(detector.stored_weights(), 4u * 4u * 4u);
 }
 
-TEST(JumpDetectorTest, FirstScanPrimesSilently) {
-  FleetFixture fx;
-  JumpDetector jump;
-  EXPECT_TRUE(jump.feed(fx.monitor->sample_all(nullptr)).empty());
-}
-
-TEST(JumpDetectorTest, FaultJumpIsCaughtRealTransientIsNot) {
-  FleetFixture fx;
-  JumpDetector jump;
-  (void)jump.feed(fx.monitor->sample_all(nullptr));
-
-  // Real transient: the whole die heats together -> no flags.
-  fx.network.set_uniform_power(0, Watt{6.0});
-  fx.network.set_temperatures(fx.network.steady_state());
-  EXPECT_TRUE(jump.feed(fx.monitor->sample_all(nullptr)).empty());
-
-  // Fault: one sensor's TDRO sticks at a hot frequency between scans ->
-  // only that site moves -> flagged.
-  PtSensor& victim = fx.monitor->sensor(4);
-  victim.inject_fault(RoRole::kTdro, RoFault::kStuck,
-                      victim.model_frequency(RoRole::kTdro, Volt{0.0},
-                                             Volt{0.0}, Kelvin{390.0}));
-  const auto jumped = jump.feed(fx.monitor->sample_all(nullptr));
-  ASSERT_EQ(jumped.size(), 1u);
-  EXPECT_EQ(jumped[0], 4u);
-}
-
-TEST(JumpDetectorTest, ResetForgetsHistory) {
-  FleetFixture fx;
-  JumpDetector jump;
-  (void)jump.feed(fx.monitor->sample_all(nullptr));
-  jump.reset();
-  // After reset the next feed primes again, even if the state moved a lot.
-  fx.network.set_uniform_power(0, Watt{8.0});
-  fx.network.set_temperatures(fx.network.steady_state());
-  EXPECT_TRUE(jump.feed(fx.monitor->sample_all(nullptr)).empty());
-}
-
-TEST(JumpDetectorTest, PointHotspotDisambiguatedFromFault) {
-  // The case the spatial detector cannot crack: a hotspot landing on one
-  // sensor.  Temporally it is NOT a lone jump if it grows over several
-  // scans while the die warms around it — approximate by applying the
-  // hotspot and stepping the network briefly so neighbours move too.
-  // (Scanned at a period long enough for lateral diffusion to reach the
-  // neighbours; a scan much faster than the die's lateral time constant
-  // cannot tell a point hotspot's first milliseconds from a fault.)
-  FleetFixture fx;
-  JumpDetector jump{{Celsius{6.0}, Celsius{0.8}}};
-  (void)jump.feed(fx.monitor->sample_all(nullptr));
-  fx.network.add_hotspot(0, {0.83e-3, 0.83e-3}, Meter{0.4e-3}, Watt{4.0});
-  fx.network.step(Second{25e-3});
-  const auto jumped = jump.feed(fx.monitor->sample_all(nullptr));
-  EXPECT_TRUE(jumped.empty());
-}
-
 }  // namespace
 }  // namespace tsvpt::core

@@ -363,7 +363,7 @@ TEST(HealthSupervisorTest, RecoveryStepBackToRawIsNotAJump) {
   // site comes back, the step from that estimate to the first raw reading
   // is estimation error, not a sensor breaking.  It must not re-quarantine.
   HealthSupervisor::Config cfg;
-  cfg.jump.jump_threshold = Celsius{2.0};  // make any real step look scary
+  cfg.jump_threshold = Celsius{2.0};  // make any real step look scary
   HealthSupervisor sup{cfg};
   (void)sup.observe(flat_scan(9, 40.0));
 
@@ -390,6 +390,59 @@ TEST(HealthSupervisorTest, RecoveryStepBackToRawIsNotAJump) {
   }
   EXPECT_TRUE(sup.all_healthy());
   EXPECT_FALSE(relapsed);
+}
+
+TEST(HealthSupervisorTest, FaultJumpIsCaughtRealTransientIsNot) {
+  FleetFixture fx;
+  HealthSupervisor sup{HealthSupervisor::Config{}};
+  (void)sup.observe(fx.monitor->sample_all(nullptr));  // primes history
+
+  // Real transient: the whole die steps to a hotter steady state between
+  // two scans.  Every site moves past the jump threshold, but so do its
+  // neighbours -> no quarantine.
+  fx.network.set_uniform_power(0, Watt{6.0});
+  fx.network.set_temperatures(fx.network.steady_state());
+  const auto step = sup.observe(fx.monitor->sample_all(nullptr));
+  for (const auto& t : step.transitions) {
+    EXPECT_NE(t.to, HealthState::kQuarantined) << t.site_index << ": "
+                                               << t.reason;
+  }
+  EXPECT_EQ(step.substituted, 0u);
+
+  // Fault: one sensor's TDRO sticks at a hot frequency between scans ->
+  // only that site moves -> quarantined as a jump.
+  PtSensor& victim = fx.monitor->sensor(4);
+  victim.inject_fault(RoRole::kTdro, RoFault::kStuck,
+                      victim.model_frequency(RoRole::kTdro, Volt{0.0},
+                                             Volt{0.0}, Kelvin{390.0}));
+  const auto result = sup.observe(fx.monitor->sample_all(nullptr));
+  ASSERT_EQ(result.transitions.size(), 1u);
+  EXPECT_EQ(result.transitions[0].site_index, 4u);
+  EXPECT_EQ(result.transitions[0].reason,
+            "temporal jump isolated from neighbours");
+}
+
+TEST(HealthSupervisorTest, PointHotspotDisambiguatedFromFault) {
+  // The case the spatial detector cannot crack: a hotspot landing on one
+  // sensor.  Temporally it is NOT a lone jump once lateral diffusion has
+  // moved the neighbours too, even with a tight neighbour allowance.
+  // (Scanned at a period long enough for lateral diffusion to reach the
+  // neighbours; a scan much faster than the die's lateral time constant
+  // cannot tell a point hotspot's first milliseconds from a fault.)
+  FleetFixture fx;
+  HealthSupervisor::Config cfg;
+  cfg.jump_threshold = Celsius{6.0};
+  cfg.neighbour_allowance = Celsius{0.8};
+  HealthSupervisor sup{cfg};
+  (void)sup.observe(fx.monitor->sample_all(nullptr));  // primes history
+  fx.network.add_hotspot(0, {0.83e-3, 0.83e-3}, Meter{0.4e-3}, Watt{4.0});
+  fx.network.step(Second{25e-3});
+  const auto result = sup.observe(fx.monitor->sample_all(nullptr));
+  for (const auto& t : result.transitions) {
+    EXPECT_NE(t.to, HealthState::kQuarantined) << t.site_index << ": "
+                                               << t.reason;
+  }
+  EXPECT_EQ(result.substituted, 0u);
 }
 
 }  // namespace

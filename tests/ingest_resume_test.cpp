@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "inject/fault_plan.hpp"
 #include "inject/injectors.hpp"
 #include "telemetry/aggregator.hpp"
+#include "telemetry/codec_util.hpp"
 #include "telemetry/frame.hpp"
 
 namespace tsvpt::ingest {
@@ -209,23 +211,149 @@ TEST(SpillQueue, MissingMarkerReplaysConservatively) {
 
 TEST(SpillQueue, CompactionTruncatesFullyAckedLog) {
   const auto dir = fresh_dir("spill-compact");
-  SpillQueue::Options options;
-  options.compact_min_bytes = 1;  // compact as soon as everything is dead
-  const std::vector<std::uint8_t> payload(512, 0x42);
+  // Three half-MiB batches put the log past the compaction threshold.
+  const std::vector<std::uint8_t> payload(512u << 10, 0x42);
   SpillQueue::RecoverInfo info;
-  SpillQueue q = SpillQueue::open(dir.string(), options, info);
+  SpillQueue q = SpillQueue::open(dir.string(), {}, info);
   q.append(1, 8, payload);
   q.append(2, 8, payload);
-  EXPECT_GT(q.log_bytes(), kSpillHeaderSize);
-  q.ack(2);
+  q.append(3, 8, payload);
+  EXPECT_GT(q.log_bytes(), store::kLogHeaderSize + kSpillCompactMinBytes);
+  q.ack(2);  // a live record keeps the log whole
+  EXPECT_EQ(q.compactions(), 0u);
+  q.ack(3);
   EXPECT_EQ(q.compactions(), 1u);
-  EXPECT_EQ(q.log_bytes(), kSpillHeaderSize);
+  EXPECT_EQ(q.log_bytes(), store::kLogHeaderSize);
   EXPECT_EQ(q.depth(), 0u);
   // Still writable after compaction.
-  q.append(3, 8, payload);
+  q.append(4, 8, payload);
   std::vector<std::uint8_t> out;
-  ASSERT_TRUE(q.read(3, out));
+  ASSERT_TRUE(q.read(4, out));
   EXPECT_EQ(out, payload);
+}
+
+/// Append `value` as `bytes` little-endian bytes.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+/// One spill.log record built from the layout documented in spill.hpp.
+void put_spill_record(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                      std::uint32_t frames,
+                      const std::vector<std::uint8_t>& payload) {
+  const std::size_t head = out.size();
+  put_le(out, seq, 8);
+  put_le(out, payload.size(), 4);
+  put_le(out, frames, 4);
+  put_le(out, telemetry::crc32(out.data() + head, 16), 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+  put_le(out, telemetry::crc32(payload.data(), payload.size()), 4);
+}
+
+std::vector<std::uint8_t> read_all(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_all(const std::filesystem::path& path,
+               const std::vector<std::uint8_t>& bytes, std::size_t count) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(count));
+}
+
+TEST(SpillQueue, GoldenBytesMatchTheDocumentedLayout) {
+  const auto dir = fresh_dir("spill-golden");
+  const std::vector<std::uint8_t> payload_a{1, 2, 3, 4, 5};
+  const std::vector<std::uint8_t> payload_b(40, 0xE7);
+  {
+    SpillQueue::RecoverInfo info;
+    SpillQueue q = SpillQueue::open(dir.string(), {}, info);
+    q.append(1, 8, payload_a);
+    q.append(2, 3, payload_b);
+    q.close();
+  }
+  std::vector<std::uint8_t> expect{'T', 'S', 'V', 'Q', 1, 0, 0, 0};
+  put_spill_record(expect, 1, 8, payload_a);
+  put_spill_record(expect, 2, 3, payload_b);
+  EXPECT_EQ(read_all(dir / "spill.log"), expect);
+
+  // The hand-built log recovers in a fresh directory (no marker).
+  const auto hand = fresh_dir("spill-hand-built");
+  std::filesystem::create_directories(hand);
+  write_all(hand / "spill.log", expect, expect.size());
+  SpillQueue::RecoverInfo info;
+  SpillQueue q = SpillQueue::open(hand.string(), {}, info);
+  EXPECT_FALSE(info.tail_truncated);
+  EXPECT_FALSE(info.marker_found);
+  EXPECT_EQ(info.unacked_seqs, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(info.next_seq, 3u);
+  EXPECT_EQ(q.frame_count_of(2), 3u);
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(q.read(1, out));
+  EXPECT_EQ(out, payload_a);
+  ASSERT_TRUE(q.read(2, out));
+  EXPECT_EQ(out, payload_b);
+}
+
+TEST(SpillQueue, RecoveryAtEveryTruncationOffset) {
+  // The crash model: a SIGKILL mid-append leaves an arbitrary prefix of the
+  // log.  For EVERY prefix length, reopening must recover exactly the
+  // records that lie wholly inside it, report the cut, and resume appending
+  // on a clean tail.
+  const std::vector<std::vector<std::uint8_t>> payloads{
+      {0x10, 0x11, 0x12}, std::vector<std::uint8_t>(9, 0x20), {0x30}};
+  std::vector<std::uint8_t> golden{'T', 'S', 'V', 'Q', 1, 0, 0, 0};
+  std::vector<std::size_t> record_end;
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    put_spill_record(golden, i + 1, 1, payloads[i]);
+    record_end.push_back(golden.size());
+  }
+  const std::vector<std::uint8_t> extra(6, 0x99);
+  const auto dir = fresh_dir("spill-every-offset");
+  for (std::size_t len = 0; len <= golden.size(); ++len) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    write_all(dir / "spill.log", golden, len);
+
+    std::vector<std::uint64_t> expect_seqs;
+    std::size_t expect_valid = store::kLogHeaderSize;
+    for (std::size_t i = 0; i < record_end.size(); ++i) {
+      if (record_end[i] > len) break;
+      expect_seqs.push_back(i + 1);
+      expect_valid = record_end[i];
+    }
+    SpillQueue::RecoverInfo info;
+    std::uint64_t next = 0;
+    {
+      SpillQueue q = SpillQueue::open(dir.string(), {}, info);
+      EXPECT_EQ(info.unacked_seqs, expect_seqs) << "length " << len;
+      EXPECT_EQ(info.tail_truncated,
+                len > 0 && (len < store::kLogHeaderSize || expect_valid < len))
+          << "length " << len;
+      EXPECT_EQ(q.log_bytes(), expect_valid) << "length " << len;
+      next = info.next_seq;
+      q.append(next, 1, extra);
+      std::vector<std::uint8_t> out;
+      ASSERT_TRUE(q.read(next, out)) << "length " << len;
+      EXPECT_EQ(out, extra) << "length " << len;
+    }
+    // Reopened, the log holds the survivors plus the new record and no
+    // torn bytes.
+    SpillQueue::RecoverInfo reopened;
+    SpillQueue q = SpillQueue::open(dir.string(), {}, reopened);
+    EXPECT_FALSE(reopened.tail_truncated) << "length " << len;
+    expect_seqs.push_back(next);
+    EXPECT_EQ(reopened.unacked_seqs, expect_seqs) << "length " << len;
+    std::vector<std::uint8_t> out;
+    for (const std::uint64_t seq : expect_seqs) {
+      ASSERT_TRUE(q.read(seq, out)) << "length " << len;
+      EXPECT_EQ(out, seq == next ? extra : payloads[seq - 1])
+          << "length " << len;
+    }
+  }
 }
 
 TEST(IngestResume, KilledPublisherResumesFromSpillWithoutLoss) {
@@ -385,7 +513,7 @@ TEST(IngestResume, DuplicateBatchChaosIsAbsorbedByDedup) {
   EXPECT_EQ(view.digest(), baseline_view(wire).digest());
 }
 
-TEST(IngestResume, FinDrainHandshakeCompletesAndCompactsSpill) {
+TEST(IngestResume, FinDrainHandshakeCompletesAndLeavesAnEmptySpillWindow) {
   const auto wire = make_fleet(3, 8);
   const auto spill_dir = fresh_dir("drain-spill");
   IngestServer server({});
@@ -395,8 +523,6 @@ TEST(IngestResume, FinDrainHandshakeCompletesAndCompactsSpill) {
   config.port = server.port();
   config.batch_max_frames = 8;
   config.spill_dir = spill_dir.string();
-  config.spill.compact_min_bytes = 1;
-  config.spill.persist_marker_every = 1;
   FleetPublisher pub(config);
   for (const auto& frame : wire) pub.offer(frame);
   EXPECT_TRUE(pub.drain(Second{5.0}));

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -9,6 +10,7 @@
 
 #include "store/block.hpp"
 #include "store/segment.hpp"
+#include "telemetry/codec_util.hpp"
 
 namespace tsvpt::store {
 namespace {
@@ -66,22 +68,94 @@ void write_bytes(const std::string& path,
 TEST(StoreSegment, CreateAppendScanRoundTrip) {
   const std::string path = temp_path("roundtrip.tsl");
   {
-    SegmentWriter writer = SegmentWriter::create(path, {});
-    writer.append_block(sealed_block(1, 0, 0.0));
-    writer.append_block(sealed_block(2, 0, 4e-3));
-    writer.append_block(sealed_block(1, 4, 8e-3));
-    writer.close();
+    RecordLog log = RecordLog::create(path, kSegmentFormat, 8);
+    log.append(sealed_block(1, 0, 0.0));
+    log.append(sealed_block(2, 0, 4e-3));
+    log.append(sealed_block(1, 4, 8e-3));
+    log.close();
   }
   const SegmentIndex index = scan_segment(path);
   EXPECT_TRUE(index.valid_header);
   EXPECT_FALSE(index.torn_tail());
   ASSERT_EQ(index.blocks.size(), 3u);
-  EXPECT_EQ(index.blocks[0].offset, kSegmentHeaderSize);
+  EXPECT_EQ(index.blocks[0].offset, kLogHeaderSize);
   EXPECT_EQ(index.blocks[1].offset,
             index.blocks[0].offset + index.blocks[0].size);
   EXPECT_EQ(index.frames(), 12u);
   EXPECT_EQ(index.valid_bytes, index.file_bytes);
   EXPECT_GT(index.raw_bytes(), index.valid_bytes);  // compression held
+}
+
+/// Append `value` as `bytes` little-endian bytes.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+TEST(StoreSegment, GoldenBytesMatchTheDocumentedLayout) {
+  // One two-frame block written through the log.  Every byte except the
+  // compressed payload is rebuilt here from the layouts documented in
+  // segment.hpp (file header) and block.hpp (record header and CRCs).
+  const std::vector<telemetry::Frame> frames{make_frame(5, 0, 0.0),
+                                             make_frame(5, 1, 1e-3)};
+  BlockBuilder builder;
+  for (const telemetry::Frame& frame : frames) builder.add(frame);
+  const std::vector<std::uint8_t> record = builder.seal();
+  const std::string path = temp_path("golden-bytes.tsl");
+  {
+    RecordLog log = RecordLog::create(path, kSegmentFormat, 8);
+    log.append(record);
+    log.close();
+  }
+
+  const std::size_t record_header = kBlockFixedHeaderSize + 4 + kBlockCrcSize;
+  const std::vector<std::uint8_t> payload(
+      record.begin() + static_cast<long>(record_header),
+      record.end() - static_cast<long>(kBlockCrcSize));
+  std::vector<std::uint8_t> expect{'T', 'S', 'V', 'S', 1, 0, 0, 0};
+  const std::size_t block_at = expect.size();
+  expect.insert(expect.end(), {'T', 'S', 'V', 'B'});
+  put_le(expect, payload.size(), 4);
+  put_le(expect, 2, 4);  // frame_count
+  put_le(expect, 1, 4);  // stack_count
+  put_le(expect, std::bit_cast<std::uint64_t>(0.0), 8);   // t_min
+  put_le(expect, std::bit_cast<std::uint64_t>(1e-3), 8);  // t_max
+  put_le(expect, 2 * telemetry::encoded_size(3), 8);      // raw_bytes
+  put_le(expect, 5, 4);                                   // stack id
+  put_le(expect,
+         telemetry::crc32(expect.data() + block_at, expect.size() - block_at),
+         4);
+  expect.insert(expect.end(), payload.begin(), payload.end());
+  put_le(expect, telemetry::crc32(payload.data(), payload.size()), 4);
+
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(read_file(path, bytes));
+  EXPECT_EQ(bytes, expect);
+
+  // The hand-built file recovers: its one block is indexed, reads back
+  // through the log, and decodes to the frames.
+  const std::string hand = temp_path("hand-built.tsl");
+  write_bytes(hand, expect, expect.size());
+  SegmentIndex recovered;
+  RecordLog log = RecordLog::recover(hand, kSegmentFormat, 8,
+                                     block_check(recovered.blocks), recovered);
+  EXPECT_FALSE(log.tail_truncated());
+  EXPECT_EQ(log.bytes(), expect.size());
+  ASSERT_EQ(recovered.blocks.size(), 1u);
+  EXPECT_EQ(recovered.blocks[0].offset, kLogHeaderSize);
+  EXPECT_EQ(recovered.blocks[0].header.frame_count, 2u);
+  std::vector<std::uint8_t> again;
+  ASSERT_TRUE(log.read(recovered.blocks[0].offset,
+                       static_cast<std::size_t>(recovered.blocks[0].size),
+                       again));
+  std::vector<telemetry::Frame> decoded;
+  ASSERT_EQ(decode_block(again.data(), again.size(), decoded),
+            BlockStatus::kOk);
+  ASSERT_EQ(decoded.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(telemetry::encode(decoded[i]), telemetry::encode(frames[i]));
+  }
 }
 
 TEST(StoreSegment, RecoveryAtEveryTruncationOffset) {
@@ -91,11 +165,11 @@ TEST(StoreSegment, RecoveryAtEveryTruncationOffset) {
   // boundary, and appending must resume cleanly after the survivors.
   const std::string golden_path = temp_path("golden.tsl");
   {
-    SegmentWriter writer = SegmentWriter::create(golden_path, {});
-    writer.append_block(sealed_block(1, 0, 0.0, 2));
-    writer.append_block(sealed_block(2, 0, 2e-3, 2));
-    writer.append_block(sealed_block(1, 2, 4e-3, 2));
-    writer.close();
+    RecordLog log = RecordLog::create(golden_path, kSegmentFormat, 8);
+    log.append(sealed_block(1, 0, 0.0, 2));
+    log.append(sealed_block(2, 0, 2e-3, 2));
+    log.append(sealed_block(1, 2, 4e-3, 2));
+    log.close();
   }
   const SegmentIndex golden = scan_segment(golden_path);
   ASSERT_EQ(golden.blocks.size(), 3u);
@@ -109,8 +183,8 @@ TEST(StoreSegment, RecoveryAtEveryTruncationOffset) {
 
     // How many golden blocks fit completely in this prefix?
     std::size_t expect_blocks = 0;
-    std::uint64_t expect_valid = kSegmentHeaderSize;
-    if (len >= kSegmentHeaderSize) {
+    std::uint64_t expect_valid = kLogHeaderSize;
+    if (len >= kLogHeaderSize) {
       for (const BlockIndexEntry& block : golden.blocks) {
         if (block.offset + block.size > len) break;
         expect_blocks += 1;
@@ -119,7 +193,7 @@ TEST(StoreSegment, RecoveryAtEveryTruncationOffset) {
     }
 
     const SegmentIndex scanned = scan_segment(torn_path);
-    if (len < kSegmentHeaderSize) {
+    if (len < kLogHeaderSize) {
       EXPECT_FALSE(scanned.valid_header) << "length " << len;
     } else {
       ASSERT_TRUE(scanned.valid_header) << "length " << len;
@@ -136,17 +210,22 @@ TEST(StoreSegment, RecoveryAtEveryTruncationOffset) {
     // prefix plus the new block, with no torn bytes left behind.
     {
       SegmentIndex recovered;
-      SegmentWriter writer = SegmentWriter::recover(torn_path, {}, recovered);
-      EXPECT_EQ(writer.tail_truncated(),
-                len > 0 && (len < kSegmentHeaderSize || expect_valid < len))
+      RecordLog log =
+          RecordLog::recover(torn_path, kSegmentFormat, 8,
+                             block_check(recovered.blocks), recovered);
+      EXPECT_EQ(log.tail_truncated(),
+                len > 0 && (len < kLogHeaderSize || expect_valid < len))
           << "length " << len;
-      writer.append_block(extra);
-      writer.close();
+      EXPECT_EQ(recovered.blocks.size(),
+                len < kLogHeaderSize ? 0u : expect_blocks)
+          << "length " << len;
+      log.append(extra);
+      log.close();
     }
     const SegmentIndex resumed = scan_segment(torn_path);
     ASSERT_TRUE(resumed.valid_header) << "length " << len;
     EXPECT_FALSE(resumed.torn_tail()) << "length " << len;
-    const std::size_t survivors = len < kSegmentHeaderSize ? 0 : expect_blocks;
+    const std::size_t survivors = len < kLogHeaderSize ? 0 : expect_blocks;
     ASSERT_EQ(resumed.blocks.size(), survivors + 1) << "length " << len;
     EXPECT_EQ(resumed.blocks.back().size, extra.size()) << "length " << len;
     EXPECT_TRUE(resumed.blocks.back().header.contains_stack(3));
@@ -163,10 +242,11 @@ TEST(StoreSegment, GarbageFileIsNotASegment) {
 
   // Recovery starts the segment over rather than appending after junk.
   SegmentIndex recovered;
-  SegmentWriter writer = SegmentWriter::recover(path, {}, recovered);
-  EXPECT_TRUE(writer.tail_truncated());
-  writer.append_block(sealed_block(1, 0, 0.0));
-  writer.close();
+  RecordLog log = RecordLog::recover(path, kSegmentFormat, 8,
+                                     block_check(recovered.blocks), recovered);
+  EXPECT_TRUE(log.tail_truncated());
+  log.append(sealed_block(1, 0, 0.0));
+  log.close();
   const SegmentIndex after = scan_segment(path);
   EXPECT_TRUE(after.valid_header);
   EXPECT_EQ(after.blocks.size(), 1u);
@@ -182,31 +262,31 @@ TEST(StoreSegment, MissingFileScansEmpty) {
 
 TEST(StoreSegment, FsyncBatchingPolicy) {
   const std::string path = temp_path("fsync.tsl");
-  SegmentWriter writer = SegmentWriter::create(path, {.fsync_every_blocks = 2});
-  const std::uint64_t after_create = writer.fsync_count();
+  RecordLog log = RecordLog::create(path, kSegmentFormat, 2);
+  const std::uint64_t after_create = log.fsync_count();
   for (std::uint64_t i = 0; i < 5; ++i) {
-    writer.append_block(sealed_block(1, 4 * i, 1e-2 * static_cast<double>(i)));
+    log.append(sealed_block(1, 4 * i, 1e-2 * static_cast<double>(i)));
   }
   // Five appends at a batch of two -> exactly two batched syncs; the odd
   // block waits for close().
-  EXPECT_EQ(writer.fsync_count(), after_create + 2);
-  writer.close();
-  EXPECT_EQ(writer.fsync_count(), after_create + 3);
-  writer.close();  // idempotent, no further syncs
-  EXPECT_EQ(writer.fsync_count(), after_create + 3);
-  EXPECT_EQ(writer.blocks_appended(), 5u);
+  EXPECT_EQ(log.fsync_count(), after_create + 2);
+  log.close();
+  EXPECT_EQ(log.fsync_count(), after_create + 3);
+  log.close();  // idempotent, no further syncs
+  EXPECT_EQ(log.fsync_count(), after_create + 3);
+  EXPECT_EQ(log.records_appended(), 5u);
 }
 
 TEST(StoreSegment, ZeroBatchSyncsOnlyOnClose) {
   const std::string path = temp_path("fsync0.tsl");
-  SegmentWriter writer = SegmentWriter::create(path, {.fsync_every_blocks = 0});
-  const std::uint64_t after_create = writer.fsync_count();
+  RecordLog log = RecordLog::create(path, kSegmentFormat, 0);
+  const std::uint64_t after_create = log.fsync_count();
   for (std::uint64_t i = 0; i < 4; ++i) {
-    writer.append_block(sealed_block(1, 4 * i, 1e-2 * static_cast<double>(i)));
+    log.append(sealed_block(1, 4 * i, 1e-2 * static_cast<double>(i)));
   }
-  EXPECT_EQ(writer.fsync_count(), after_create);
-  writer.close();
-  EXPECT_EQ(writer.fsync_count(), after_create + 1);
+  EXPECT_EQ(log.fsync_count(), after_create);
+  log.close();
+  EXPECT_EQ(log.fsync_count(), after_create + 1);
 }
 
 TEST(StoreSegment, ReplaceFileSyncIsAtomicSwap) {

@@ -272,7 +272,7 @@ int cmd_trace(const Args& args) {
   const thermal::Workload workload =
       trace.empty() ? thermal::Workload::burst_idle(stack, Watt{5.0},
                                                     Watt{0.25}, Second{50e-3})
-                    : thermal::load_workload(trace);
+                    : thermal::load_workload(trace, stack);
 
   thermal::ThermalNetwork network{stack};
   std::vector<core::SensorSite> sites =
