@@ -87,6 +87,17 @@ void BM_ThermalSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalSteadyState);
 
+/// Assembling four_die_stack()'s network (what every stack pays at fleet
+/// construction, and perfbench counts in setup_s).
+void BM_ThermalNetworkBuild(benchmark::State& state) {
+  const thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
+  for (auto _ : state) {
+    thermal::ThermalNetwork net{cfg};
+    benchmark::DoNotOptimize(net.stable_substep());
+  }
+}
+BENCHMARK(BM_ThermalNetworkBuild);
+
 void BM_ThermalTransientMillisecond(benchmark::State& state) {
   thermal::ThermalNetwork net{thermal::StackConfig::four_die_stack()};
   net.set_uniform_power(0, Watt{2.0});
@@ -265,6 +276,22 @@ void BM_AggregatorIngest64(benchmark::State& state) {
   benchmark::DoNotOptimize(aggregator.summary().frames);
 }
 BENCHMARK(BM_AggregatorIngest64);
+
+/// The wire encode of one scan of the first `sites` sites of an
+/// ingest_fanin-shaped scan: 16 is a fleet stack's site count, 64 an
+/// ingest_fanin stack's.
+void BM_EncodeFrame(benchmark::State& state, std::size_t sites) {
+  Rng rng{6};
+  telemetry::Frame frame = fanin_frame(1, 7, rng);
+  frame.readings.resize(sites);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(telemetry::encode(frame));
+  }
+}
+void BM_EncodeFrame16(benchmark::State& state) { BM_EncodeFrame(state, 16); }
+void BM_EncodeFrame64(benchmark::State& state) { BM_EncodeFrame(state, 64); }
+BENCHMARK(BM_EncodeFrame16);
+BENCHMARK(BM_EncodeFrame64);
 
 /// CRC-32 over 3,250 bytes, about one encoded 64-site frame.
 void BM_Crc32Frame(benchmark::State& state) {

@@ -93,6 +93,7 @@ void Controller::on_observation(const StackObservation& obs) {
   if (moved > 0) metrics.migrations.add(moved);
   if (level_changes > 0 || moved > 0) {
     stats_.actuations += 1;
+    actuation_changes_ += 1;
     metrics.actuations.inc();
   }
   for (const DieObservation& die : obs.dies) {
@@ -123,6 +124,7 @@ void Controller::note_tick(Second dt, Celsius max_true, Watt total_power) {
 void Controller::reset() {
   policy_->reset();
   actuation_ = policy_->safe_actuation();
+  actuation_changes_ += 1;
   stats_ = Stats{};
 }
 

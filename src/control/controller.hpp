@@ -62,6 +62,12 @@ class Controller {
   [[nodiscard]] const char* policy_name() const { return policy_->name(); }
   /// The command currently held (worst-case-safe until the first scan).
   [[nodiscard]] const Actuation& actuation() const { return actuation_; }
+  /// Times the held actuation has changed: bumped by every decision that
+  /// counts in stats().actuations and by reset(), and never zeroed, so a
+  /// copy of the map actuated under it stays valid while this holds.
+  [[nodiscard]] std::uint64_t actuation_changes() const {
+    return actuation_changes_;
+  }
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Feed one finished scan; runs the policy and swaps in its actuation.
@@ -80,6 +86,7 @@ class Controller {
   std::size_t die_count_;
   std::unique_ptr<Policy> policy_;
   Actuation actuation_;
+  std::uint64_t actuation_changes_ = 0;
   Stats stats_;
 };
 

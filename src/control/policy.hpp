@@ -75,8 +75,9 @@ struct DieCommand {
 
 /// Move a fraction of one die's programmed power onto another die
 /// (task migration).  Fractions are of the *nominal* workload map — the
-/// actuation is re-applied from the freshly programmed map every thermal
-/// substep, so entries compose without feedback.
+/// actuation is always applied to a freshly programmed nominal map (a
+/// StackLoop caches the result until the phase or the actuation changes),
+/// so entries compose without feedback.
 struct Migration {
   std::size_t from_die = 0;
   std::size_t to_die = 0;

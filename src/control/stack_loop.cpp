@@ -16,7 +16,9 @@ StackLoop::StackLoop(thermal::ThermalNetwork& network,
       noise_(&noise),
       supervisor_(supervisor),
       controller_(controller),
-      phase_power_(network.node_count(), 0.0) {}
+      phase_power_(network.node_count(), 0.0),
+      actuated_power_(controller != nullptr ? network.node_count() : 0,
+                      0.0) {}
 
 void StackLoop::power_on(bool steady_state) {
   program_nominal(Second{0.0});
@@ -40,24 +42,36 @@ void StackLoop::program_nominal(Second t) {
   cached_phase_ = phase;
 }
 
+void StackLoop::program_actuated(Second t) {
+  const std::size_t phase = workload_->phase_at(t);
+  const std::uint64_t changes = controller_->actuation_changes();
+  if (phase == actuated_phase_ && changes == actuated_changes_) {
+    network_->set_power_map(actuated_power_);
+    return;
+  }
+  program_nominal(t);
+  actuate(*network_, controller_->actuation(), controller_->config().plant);
+  const std::vector<double>& map = network_->power_map();
+  std::copy(map.begin(), map.end(), actuated_power_.begin());
+  actuated_total_ = network_->total_power().value();
+  actuated_phase_ = phase;
+  actuated_changes_ = changes;
+}
+
 // hot(alloc): four substeps per scan of every stack; the phase's map comes
 // from the cache and the step integrates in the network's own buffers.
 void StackLoop::substep(Second t, Second h) {
-  program_nominal(t);
   if (controller_ == nullptr) {
+    program_nominal(t);
     network_->step(h);
     return;
   }
-  actuate(*network_, controller_->actuation(), controller_->config().plant);
+  program_actuated(t);
   network_->step(h);
-  Celsius hottest{-273.15};
-  for (std::size_t d = 0; d < network_->config().die_count(); ++d) {
-    const Celsius temp = to_celsius(network_->max_temperature(d));
-    if (temp > hottest) hottest = temp;
-  }
-  controller_->note_tick(h, hottest,
-                         Watt{network_->total_power().value() +
-                              network_->leakage_power().value()});
+  const Celsius hottest =
+      std::max(Celsius{-273.15}, to_celsius(network_->max_temperature()));
+  controller_->note_tick(
+      h, hottest, Watt{actuated_total_ + network_->leakage_power().value()});
 }
 
 Second StackLoop::advance(Second now, Second period, Second step,

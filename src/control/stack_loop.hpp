@@ -16,14 +16,17 @@
 // The caller owns the clock and the order: whether a scan comes before or
 // after its advance, and which hooks run between the calls.  Everything the
 // loop touches is borrowed, so a loop is a handful of pointers, one sampling
-// mask and one cached power map.
+// mask and its cached power maps.
 //
-// The cache holds the nominal map of the phase the loop programmed last.
-// A phase lasts many substeps (a fleet's 25 ms burst or idle phase is 100
-// of them), so Workload::apply runs only when the phase changes; every
+// The first cache holds the nominal map of the phase the loop programmed
+// last.  A phase lasts many substeps (a fleet's 25 ms burst or idle phase is
+// 100 of them), so Workload::apply runs only when the phase changes; every
 // other substep copies the cached map into the network.  The cache lives in
 // the loop, not the workload, because a fleet's stacks share one workload
-// read-only across worker threads.
+// read-only across worker threads.  With a controller attached, a second
+// cache holds that map under the held actuation, and its total power: it is
+// rebuilt (actuate() on the nominal map) only when the phase or the
+// controller's actuation_changes() moves, at most once per scan.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +58,7 @@ class StackLoop {
   /// steady state (or from ambient), then self-calibrate every site.
   void power_on(bool steady_state);
 
-  /// One thermal substep of `h` starting at time `t`.  The hottest die's
+  /// One thermal substep of `h` starting at time `t`.  The stack's hottest
   /// true temperature is measured only when a controller is attached (it
   /// feeds the controller's tick accounting and nothing else).  Never
   /// allocates.
@@ -91,6 +94,11 @@ class StackLoop {
   /// is in the phase programmed last, else through Workload::apply, whose
   /// map then becomes the cache.
   void program_nominal(Second t);
+  /// Program the nominal map for time t under the controller's held
+  /// actuation: from the actuated cache while neither the phase nor the
+  /// actuation changed, else through program_nominal() and actuate(),
+  /// whose map then becomes the cache.
+  void program_actuated(Second t);
 
   thermal::ThermalNetwork* network_;
   const thermal::Workload* workload_;
@@ -107,6 +115,13 @@ class StackLoop {
   static constexpr std::size_t kNoPhase = static_cast<std::size_t>(-1);
   std::vector<double> phase_power_;
   std::size_t cached_phase_ = kNoPhase;
+  /// phase_power_ under the actuation of the controller's
+  /// actuation_changes() == `actuated_changes_` (sized only with a
+  /// controller), its total power, and the phase it was built for.
+  std::vector<double> actuated_power_;
+  double actuated_total_ = 0.0;
+  std::uint64_t actuated_changes_ = 0;
+  std::size_t actuated_phase_ = kNoPhase;
 };
 
 }  // namespace tsvpt::control

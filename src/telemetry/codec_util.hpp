@@ -14,6 +14,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 namespace tsvpt::telemetry {
@@ -60,26 +62,45 @@ inline bool get_varint(const std::uint8_t* data, std::size_t size,
 }
 
 // --- little-endian fixed-width writers ---
+//
+// Each writer copies the value's little-endian bytes out with one memcpy (a
+// big-endian host reverses them first) and appends them with one range
+// insert, so the vector grows once per value.  (A resize and a memcpy into
+// the vector zero-fill the new bytes first, and timed about half as fast.)
+
+namespace detail {
+
+template <typename T>
+inline void put_le(std::vector<std::uint8_t>& out, T v) {
+  static_assert(std::is_unsigned_v<T>);
+  if constexpr (std::endian::native == std::endian::big) {
+    T swapped = 0;
+    for (std::size_t i = 0; i < sizeof v; ++i) {
+      swapped = static_cast<T>((swapped << 8) | ((v >> (8 * i)) & 0xFFu));
+    }
+    v = swapped;
+  }
+  std::uint8_t bytes[sizeof v];
+  std::memcpy(bytes, &v, sizeof v);
+  out.insert(out.end(), bytes, bytes + sizeof v);
+}
+
+}  // namespace detail
 
 inline void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
   out.push_back(v);
 }
 
 inline void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+  detail::put_le(out, v);
 }
 
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  detail::put_le(out, v);
 }
 
 inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  detail::put_le(out, v);
 }
 
 inline void put_f64(std::vector<std::uint8_t>& out, double v) {

@@ -29,13 +29,20 @@ void ThermalNetwork::build() {
     total += config_.dies[d].nx * config_.dies[d].ny;
   }
   // Each conductance is recorded once, in build order, and packed into
-  // the CSR arrays at the end.
+  // the sliced arrays at the end.
   struct Link {
     std::size_t a;
     std::size_t b;
     double conductance;
   };
   std::vector<Link> links;
+  std::size_t link_count = 0;  // lateral links, then one per lower-die cell
+  for (std::size_t d = 0; d < die_count; ++d) {
+    const DieGeometry& geom = config_.dies[d];
+    link_count += (geom.nx - 1) * geom.ny + geom.nx * (geom.ny - 1);
+    if (d + 1 < die_count) link_count += geom.nx * geom.ny;
+  }
+  links.reserve(link_count);
   const auto add_edge = [&links](std::size_t a, std::size_t b, double g) {
     links.push_back({a, b, g});
   };
@@ -144,31 +151,52 @@ void ThermalNetwork::build() {
     }
   }
 
-  // Pack: count each node's edges into its row offset, then place both
-  // ends of every link in link order, so each row lists its node's edges
-  // in the order they were added.
-  edge_offset_.assign(total + 1, 0);
+  // Pack in two passes.  The first counts each node's edges and gives each
+  // chunk as many slots as its longest row has edges; the second places
+  // both ends of every link in link order, so each row lists its node's
+  // edges in the order they were added, and pads the rest of the row.
+  // Lanes past the last node (a partial last chunk) are never read.
+  const std::size_t chunks = (total + kLanes - 1) / kLanes;
+  std::vector<std::size_t> row_length(total, 0);
   for (const Link& l : links) {
-    ++edge_offset_[l.a + 1];
-    ++edge_offset_[l.b + 1];
+    ++row_length[l.a];
+    ++row_length[l.b];
+  }
+  chunk_slot_.assign(chunks + 1, 0);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::size_t longest = 0;
+    for (std::size_t n = c * kLanes; n < std::min(total, (c + 1) * kLanes);
+         ++n) {
+      longest = std::max(longest, row_length[n]);
+    }
+    chunk_slot_[c + 1] = chunk_slot_[c] + longest;
+  }
+  slot_conductance_.assign(chunk_slot_[chunks] * kLanes, -0.0);
+  slot_neighbor_.assign(chunk_slot_[chunks] * kLanes, 0);
+  std::vector<std::size_t>& placed = row_length;  // now: edges placed per row
+  std::fill(placed.begin(), placed.end(), 0);
+  const auto place = [&](std::size_t n, std::size_t neighbor, double g) {
+    const std::size_t k =
+        (chunk_slot_[n / kLanes] + placed[n]++) * kLanes + n % kLanes;
+    slot_conductance_[k] = g;
+    slot_neighbor_[k] = neighbor;
+  };
+  for (const Link& l : links) {
+    place(l.a, l.b, l.conductance);
+    place(l.b, l.a, l.conductance);
   }
   for (std::size_t n = 0; n < total; ++n) {
-    edge_offset_[n + 1] += edge_offset_[n];
-  }
-  edges_.resize(edge_offset_[total]);
-  std::vector<std::size_t> next(edge_offset_.begin(), edge_offset_.end() - 1);
-  for (const Link& l : links) {
-    edges_[next[l.a]++] = {l.b, l.conductance};
-    edges_[next[l.b]++] = {l.a, l.conductance};
+    // Pads: x + (-0.0 * (t_n - t_n)) == x for every finite state.
+    const std::size_t end = chunk_slot_[n / kLanes + 1];
+    for (std::size_t s = chunk_slot_[n / kLanes] + placed[n]; s < end; ++s) {
+      slot_neighbor_[s * kLanes + n % kLanes] = n;
+    }
   }
 
   // Explicit stability: dt < min_n C_n / sum(G_n).  Use a safety factor.
   double min_tau = 1e30;
-  for (std::size_t n = 0; n < capacitance_.size(); ++n) {
-    double g_sum = boundary_conductance_[n];
-    for (std::size_t k = edge_offset_[n]; k < edge_offset_[n + 1]; ++k) {
-      g_sum += edges_[k].conductance;
-    }
+  for (std::size_t n = 0; n < total; ++n) {
+    const double g_sum = row_conductance(n);
     if (g_sum > 0.0) min_tau = std::min(min_tau, capacitance_[n] / g_sum);
   }
   stable_dt_ = Second{0.5 * min_tau};
@@ -269,16 +297,64 @@ Watt ThermalNetwork::cell_power(std::size_t die, std::size_t ix,
   return Watt{power_[node_index(die, ix, iy)]};
 }
 
+double ThermalNetwork::row_conductance(std::size_t n) const {
+  const std::size_t c = n / kLanes;
+  double sum = boundary_conductance_[n];
+  for (std::size_t s = chunk_slot_[c]; s < chunk_slot_[c + 1]; ++s) {
+    sum += slot_conductance_[s * kLanes + n % kLanes];  // a pad adds -0.0
+  }
+  return sum;
+}
+
 void ThermalNetwork::apply_conductance(const std::vector<double>& t,
                                        std::vector<double>& y) const {
-  // The rows are contiguous, so one edge cursor walks all of them in order.
-  const Edge* edge = edges_.data();
-  std::size_t k = 0;
-  for (std::size_t n = 0; n < node_count(); ++n) {
+  static_assert(kLanes == 4, "the sweep below keeps four sums");
+  const std::size_t nodes = node_count();
+  const std::size_t full = nodes / kLanes;
+  const double* b = boundary_conductance_.data();
+  const double* g = slot_conductance_.data();
+  const std::size_t* nb = slot_neighbor_.data();
+  // A chunk's four sums side by side: each starts with its boundary term
+  // and adds its row's slots in order, as a one-row loop would.
+  for (std::size_t c = 0; c < full; ++c) {
+    const std::size_t n = c * kLanes;
+    const double t0 = t[n];
+    const double t1 = t[n + 1];
+    const double t2 = t[n + 2];
+    const double t3 = t[n + 3];
+    double y0 = b[n] * t0;
+    double y1 = b[n + 1] * t1;
+    double y2 = b[n + 2] * t2;
+    double y3 = b[n + 3] * t3;
+    const auto add_slot = [&](std::size_t s) {
+      const double* gs = g + s * kLanes;
+      const std::size_t* ns = nb + s * kLanes;
+      y0 += gs[0] * (t0 - t[ns[0]]);
+      y1 += gs[1] * (t1 - t[ns[1]]);
+      y2 += gs[2] * (t2 - t[ns[2]]);
+      y3 += gs[3] * (t3 - t[ns[3]]);
+    };
+    // Two slots per iteration: with one, GCC's -O3 loop vectorizer packs
+    // consecutive slots instead of the four rows, and keeping each sum in
+    // order then costs a shuffle per slot (measured ~20 % slower).
+    std::size_t s = chunk_slot_[c];
+    for (; s + 1 < chunk_slot_[c + 1]; s += 2) {
+      add_slot(s);
+      add_slot(s + 1);
+    }
+    if (s < chunk_slot_[c + 1]) add_slot(s);
+    y[n] = y0;
+    y[n + 1] = y1;
+    y[n + 2] = y2;
+    y[n + 3] = y3;
+  }
+  // The rows of a partial last chunk, one at a time over the same slots.
+  for (std::size_t n = full * kLanes; n < nodes; ++n) {
+    const std::size_t l = n % kLanes;
     const double tn = t[n];
-    double acc = boundary_conductance_[n] * tn;
-    for (const std::size_t end = edge_offset_[n + 1]; k < end; ++k) {
-      acc += edge[k].conductance * (tn - t[edge[k].neighbor]);
+    double acc = b[n] * tn;
+    for (std::size_t s = chunk_slot_[full]; s < chunk_slot_[full + 1]; ++s) {
+      acc += g[s * kLanes + l] * (tn - t[nb[s * kLanes + l]]);
     }
     y[n] = acc;
   }
@@ -360,10 +436,7 @@ std::vector<double> ThermalNetwork::solve_linear(
   // Conjugate gradient with Jacobi preconditioning.
   std::vector<double> diag(n, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    diag[i] = boundary_conductance_[i];
-    for (std::size_t k = edge_offset_[i]; k < edge_offset_[i + 1]; ++k) {
-      diag[i] += edges_[k].conductance;
-    }
+    diag[i] = row_conductance(i);
     if (diag[i] <= 0.0) {
       throw std::runtime_error{"steady_state: floating node (no path out)"};
     }
@@ -493,6 +566,21 @@ Kelvin ThermalNetwork::max_temperature(std::size_t die) const {
   double best = -1e30;
   for (std::size_t n = begin; n < end; ++n) best = std::max(best, state_[n]);
   return Kelvin{best};
+}
+
+Kelvin ThermalNetwork::max_temperature() const {
+  // One pass with four independent running maxima: max is exact, so the
+  // order the nodes are visited in changes nothing.
+  double best[4] = {-1e30, -1e30, -1e30, -1e30};
+  std::size_t n = 0;
+  for (; n + 4 <= state_.size(); n += 4) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      best[l] = std::max(best[l], state_[n + l]);
+    }
+  }
+  for (; n < state_.size(); ++n) best[0] = std::max(best[0], state_[n]);
+  return Kelvin{
+      std::max(std::max(best[0], best[1]), std::max(best[2], best[3]))};
 }
 
 }  // namespace tsvpt::thermal

@@ -12,9 +12,14 @@
 //     the stability limit (the grids used here are small enough that
 //     explicit integration is both simple and fast).
 //
-// The edges are packed once, at build time, into per-node row offsets over
-// one flat array (CSR), each node's edges in the order build() added them:
-// the order every conductance sum runs in.
+// The edges are packed once, at build time, into a sliced layout: the rows
+// of four consecutive nodes form a chunk, and slot j of a chunk holds the
+// j-th edge of each of its four rows, each row's edges in the order build()
+// added them (the order every conductance sum runs in).  A row shorter than
+// its chunk's longest is padded with conductance -0.0 pointing at its own
+// node, which adds -0.0 to the sum and so changes no bit.  The sweep keeps
+// a chunk's four sums side by side, which the compiler packs into SIMD
+// lanes without changing any lane's order of operations.
 #pragma once
 
 #include <cstddef>
@@ -116,18 +121,21 @@ class ThermalNetwork {
                                 std::size_t die,
                                 process::Point location) const;
   [[nodiscard]] Kelvin max_temperature(std::size_t die) const;
+  /// Hottest node of the whole stack (the largest of every die's maximum).
+  [[nodiscard]] Kelvin max_temperature() const;
 
  private:
-  struct Edge {
-    std::size_t neighbor;
-    double conductance;
-  };
+  /// Rows per chunk of the sliced edge layout.
+  static constexpr std::size_t kLanes = 4;
 
   void build();
   /// y = G t (conductance matrix including boundary terms) into a
   /// caller-owned buffer of node_count() entries.
   void apply_conductance(const std::vector<double>& t,
                          std::vector<double>& y) const;
+  /// Node n's boundary conductance plus each of its edges', in row order
+  /// (the Jacobi diagonal, and the stability bound's denominator).
+  [[nodiscard]] double row_conductance(std::size_t n) const;
   /// Linear steady-state solve for an explicit per-node power vector.
   [[nodiscard]] std::vector<double> solve_linear(
       const std::vector<double>& power, double tolerance,
@@ -141,10 +149,12 @@ class ThermalNetwork {
   std::vector<std::size_t> node_die_;            // die index per node
   Kelvin runaway_limit_{1000.0};
   std::vector<std::size_t> die_node_offset_;
-  // CSR adjacency: node n's edges are edges_[edge_offset_[n]] up to
-  // edges_[edge_offset_[n + 1]], in the order build() added them.
-  std::vector<std::size_t> edge_offset_;
-  std::vector<Edge> edges_;
+  // Sliced adjacency: chunk c (nodes kLanes*c up to kLanes*c + kLanes)
+  // owns slots chunk_slot_[c] up to chunk_slot_[c + 1], and entry
+  // kLanes*s + l of the slot arrays is slot s's edge of the chunk's row l.
+  std::vector<std::size_t> chunk_slot_;
+  std::vector<double> slot_conductance_;
+  std::vector<std::size_t> slot_neighbor_;
   std::vector<double> boundary_conductance_;  // to ambient, per node
   std::vector<double> capacitance_;           // J/K per node
   std::vector<double> power_;                 // W per node

@@ -117,10 +117,10 @@ std::size_t construction_bytes(std::size_t stacks) {
 }
 
 TEST(AllocationCount, FleetConstructionBytesPerStackAreBounded) {
-  // Measured: 122,984 B per stack (four dies of 2x2 sites; the network
-  // records one flat list of links and packs it into its CSR edge array),
-  // so the bound leaves 2x headroom.  A per-stack copy of a workload sized
-  // for a million burst cycles requested ~0.8 GB.
+  // Measured: 88,776 B per stack (four dies of 2x2 sites; the network
+  // records one flat list of links, sized once, and packs it into its
+  // sliced edge arrays), so the bound leaves 2.9x headroom.  A per-stack
+  // copy of a workload sized for a million burst cycles requested ~0.8 GB.
   constexpr std::size_t kPerStackBound = 256 * 1024;
   (void)construction_bytes(1);  // first-use statics stay out of the count
   const std::size_t one = construction_bytes(1);
@@ -134,16 +134,16 @@ TEST(AllocationCount, FleetConstructionBytesPerStackAreBounded) {
   EXPECT_LT(per_stack, kPerStackBound);
 }
 
-/// Die 0 over the migration trip, die 1 the coolest: the policy answers with
-/// a move from die 0 to die 1 and per-die rungs.
-control::StackObservation hot_bottom_die(std::size_t dies) {
+/// Die `hot` over the migration trip, die 1 the coolest: the policy answers
+/// with a move from the hot die to die 1 and per-die rungs.
+control::StackObservation hot_die(std::size_t dies, std::size_t hot) {
   control::StackObservation obs;
   obs.dies.resize(dies);
   for (std::size_t d = 0; d < dies; ++d) {
     obs.dies[d].die = d;
     obs.dies[d].credible_sites = 4;
     obs.dies[d].total_sites = 4;
-    const double c = d == 0 ? 90.0 : d == 1 ? 55.0 : 65.0;
+    const double c = d == hot ? 90.0 : d == 1 ? 55.0 : 65.0;
     obs.dies[d].max_sensed = Celsius{c};
     obs.dies[d].mean_sensed = Celsius{c};
   }
@@ -154,7 +154,10 @@ TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
   // FleetSampler's shape: 1 ms scans of four 0.25 ms substeps on
   // four_die_stack() under the default burst/idle load, whose phase changes
   // every 25 ms.  The counted 1,000 scans cross 40 phase changes, each of
-  // which reprograms the map through Workload::apply.
+  // which reprograms the map through Workload::apply.  Under the controller
+  // the hot die also swaps every 50 scans, so the held actuation changes
+  // inside the window and the actuated map is rebuilt; the decisions
+  // themselves allocate and are left out of the count.
   const thermal::StackConfig cfg = thermal::StackConfig::four_die_stack();
   const thermal::Workload workload = thermal::Workload::burst_idle(
       cfg, Watt{5.0}, Watt{0.25}, Second{50e-3});
@@ -173,7 +176,7 @@ TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
                             controlled ? &controller : nullptr};
     loop.power_on(false);
     if (controlled) {
-      controller.on_observation(hot_bottom_die(cfg.die_count()));
+      controller.on_observation(hot_die(cfg.die_count(), 0));
       ASSERT_EQ(controller.actuation().migrations.size(), 1u);
     }
     Second now{0.0};
@@ -183,9 +186,16 @@ TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
     }
     std::size_t phase_changes = 0;
     std::size_t phase = workload.phase_at(now - step);
-    const std::size_t before = allocations();
+    const std::uint64_t changes = controller.actuation_changes();
+    std::size_t made = 0;
     for (int scan = 0; scan < 1000; ++scan) {
+      if (controlled && scan % 50 == 25) {
+        controller.on_observation(
+            hot_die(cfg.die_count(), scan / 50 % 2 == 0 ? 3 : 0));
+      }
+      const std::size_t before = allocations();
       loop.advance(now, period, step);
+      made += allocations() - before;
       for (int k = 0; k < 4; ++k) {
         const std::size_t next = workload.phase_at(now + step * k);
         phase_changes += next != phase ? 1 : 0;
@@ -193,9 +203,11 @@ TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
       }
       now += period;
     }
-    const std::size_t made = allocations() - before;
     EXPECT_EQ(made, 0u) << (controlled ? "migration controller" : "open loop");
     EXPECT_GE(phase_changes, 40u);
+    if (controlled) {
+      EXPECT_GE(controller.actuation_changes() - changes, 10u);
+    }
   }
 }
 

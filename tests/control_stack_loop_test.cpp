@@ -210,9 +210,11 @@ StackObservation one_hot_die(std::uint64_t scan, std::size_t dies,
 }
 
 TEST(ControlStackLoop, ControlledSubstepsMatchApplyThenActuateBitForBit) {
-  // The cached map plus actuate() against Workload::apply() + actuate() at
-  // every substep, under migrations, per-die scales and the unscalable
-  // floor; the hot die switches every 100 scans, so moves grow and retract.
+  // The cached actuated map against Workload::apply() + actuate() at every
+  // substep, under migrations, per-die scales and the unscalable floor; the
+  // hot die switches every 100 scans, so moves grow and retract.  The tick
+  // accounting (energy from the cached map's total, peak from the one-pass
+  // maximum) must match the direct die-by-die accounting bit for bit too.
   FleetShape fx;
   Controller::Config cfg;
   cfg.kind = PolicyKind::kMigration;
@@ -223,12 +225,21 @@ TEST(ControlStackLoop, ControlledSubstepsMatchApplyThenActuateBitForBit) {
   std::size_t mismatches = 0;
   std::size_t with_moves = 0;
   std::size_t with_scaled_die = 0;
+  double energy_j = 0.0;
+  double peak_c = -273.15;
   for (std::size_t i = 0; i < FleetShape::kSubsteps; ++i) {
     const Second t{FleetShape::kStep * static_cast<double>(i)};
     loop.substep(t, Second{FleetShape::kStep});
     fx.workload.apply(fx.direct, t);
     actuate(fx.direct, controller.actuation(), cfg.plant);
     fx.direct.step(Second{FleetShape::kStep});
+    energy_j += (fx.direct.total_power().value() +
+                 fx.direct.leakage_power().value()) *
+                FleetShape::kStep;
+    for (std::size_t d = 0; d < fx.cfg.die_count(); ++d) {
+      peak_c = std::max(peak_c,
+                        to_celsius(fx.direct.max_temperature(d)).value());
+    }
     if (!same_bits(fx.looped.power_map(), fx.direct.power_map()) ||
         !same_bits(fx.looped.temperatures(), fx.direct.temperatures())) {
       ++mismatches;
@@ -249,6 +260,8 @@ TEST(ControlStackLoop, ControlledSubstepsMatchApplyThenActuateBitForBit) {
   EXPECT_GT(with_moves, FleetShape::kSubsteps / 2);
   EXPECT_EQ(with_scaled_die, FleetShape::kSubsteps);
   EXPECT_GT(controller.stats().migrations, 10u);
+  EXPECT_EQ(controller.stats().energy_j, energy_j);
+  EXPECT_EQ(controller.stats().peak_true_c, peak_c);
 }
 
 TEST(ControlStackLoop, QuarantinedSiteGetsAPlaceholderNotAConversion) {

@@ -271,6 +271,68 @@ TEST(NetFraming, BatchMetaRoundTrips) {
   EXPECT_EQ(emitted, frames.size());
 }
 
+/// Append `size` bytes of `v`, least significant first: the wire's byte
+/// order, spelled out one byte at a time.
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+               std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(NetFraming, BatchMatchesBytesBuiltByHandFromTheLayout) {
+  const auto frames = sample_frames(2);
+  BatchMeta meta;
+  meta.publisher_id = 0x0102030405060708ull;
+  meta.seq = 0x1122334455667788ull;
+  meta.flags = kBatchFlagOffsetValid;
+  meta.trace_id = 0xA1A2A3A4A5A6A7A8ull;
+  meta.send_ns = 987'654'321'000ull;
+  meta.offset_ns = -1'234'567;  // two's complement on the wire
+  std::vector<std::uint8_t> want = {'T', 'S', 'V', 'B', 3, 0};
+  append_le(want, kBatchFlagOffsetValid, 2);
+  append_le(want, 0x0102030405060708ull, 8);
+  append_le(want, 0x1122334455667788ull, 8);
+  append_le(want, 2, 4);  // frame_count
+  append_le(want, 4 + frames[0].size() + 4 + frames[1].size(), 4);
+  append_le(want, 0xA1A2A3A4A5A6A7A8ull, 8);
+  append_le(want, 987'654'321'000ull, 8);
+  append_le(want, 0xFFFFFFFFFFED2979ull, 8);  // -1,234,567
+  append_le(want, telemetry::crc32(want.data(), 56), 4);
+  ASSERT_EQ(want.size(), kBatchHeaderSize);
+  for (const auto& f : frames) {
+    append_le(want, f.size(), 4);
+    want.insert(want.end(), f.begin(), f.end());
+  }
+  EXPECT_EQ(encode_batch(frames, meta), want);
+}
+
+TEST(NetFraming, AckMatchesBytesBuiltByHandFromTheLayout) {
+  AckFrame ack;
+  ack.flags = kAckFlagDrained;
+  ack.ack_seq = 0x0807060504030201ull;
+  ack.nack = 0xCAFEF00Du;
+  ack.echo_send_ns = 1'000'001;
+  ack.srv_rx_ns = 2'000'002;
+  ack.srv_tx_ns = 0xFFEEDDCCBBAA9988ull;
+  std::vector<std::uint8_t> want = {'T', 'S', 'V', 'A', 2, 0};
+  append_le(want, kAckFlagDrained, 2);
+  append_le(want, 0x0807060504030201ull, 8);
+  append_le(want, 0xCAFEF00Du, 4);
+  append_le(want, 1'000'001, 8);
+  append_le(want, 2'000'002, 8);
+  append_le(want, 0xFFEEDDCCBBAA9988ull, 8);
+  append_le(want, telemetry::crc32(want.data(), 44), 4);
+  ASSERT_EQ(want.size(), kAckFrameSize);
+  EXPECT_EQ(encode_ack(ack), want);
+
+  // Appended to an outbox that already holds bytes, the same 48 follow them.
+  std::vector<std::uint8_t> outbox = {0xEE, 0xEE, 0xEE};
+  append_ack(outbox, ack);
+  want.insert(want.begin(), outbox.begin(), outbox.begin() + 3);
+  EXPECT_EQ(outbox, want);
+}
+
 TEST(NetFraming, BatchHandlerVetoSkipsFrames) {
   const auto frames = sample_frames(4);
   const std::vector<std::uint8_t> wire =

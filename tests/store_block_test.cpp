@@ -45,6 +45,99 @@ std::vector<std::uint8_t> seal_frames(
   return builder.seal();
 }
 
+// -- Golden bytes, built by hand from block.hpp's layout ----------------
+
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+               std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (; v >= 0x80u; v >>= 7) {
+    out.push_back(static_cast<std::uint8_t>((v & 0x7Fu) | 0x80u));
+  }
+  out.push_back(static_cast<std::uint8_t>(v));
+}
+
+/// Signed onto unsigned, small magnitudes small: 0, -1, 1, -2 -> 0, 1, 2, 3.
+std::uint64_t zigzag(std::int64_t v) {
+  return v >= 0 ? 2 * static_cast<std::uint64_t>(v)
+                : 2 * static_cast<std::uint64_t>(-(v + 1)) + 1;
+}
+
+std::uint64_t bits(double v) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+TEST(StoreBlock, SealMatchesBytesBuiltByHandFromTheLayout) {
+  // One stack: a key frame of two sites, then a delta frame of the same
+  // layout one scan later.
+  const telemetry::Frame key = make_frame(9, 5, 1e-3, 2);
+  telemetry::Frame delta = make_frame(9, 6, 2e-3, 2);
+  delta.capture_ns = key.capture_ns + 1500;
+  delta.readings[1].sensed = Celsius{41.25};
+  const std::vector<std::uint8_t> sealed = seal_frames({key, delta});
+
+  std::vector<std::uint8_t> payload;
+  append_varint(payload, 9);  // stack id
+  payload.push_back(1);       // key frame
+  append_varint(payload, 2);  // sites
+  append_varint(payload, 5);  // sequence
+  append_le(payload, bits(1e-3), 8);
+  append_varint(payload, key.capture_ns);
+  std::uint64_t prev[5] = {0, 0, 0, 0, 0};  // x, y, sensed, truth, energy
+  for (const auto& r : key.readings) {
+    append_varint(payload, r.site_index);
+    append_varint(payload, r.die);
+    const std::uint64_t now[5] = {bits(r.location.x), bits(r.location.y),
+                                  bits(r.sensed.value()),
+                                  bits(r.truth.value()),
+                                  bits(r.energy.value())};
+    for (std::size_t f = 0; f < 5; ++f) {
+      append_varint(payload, now[f] ^ prev[f]);
+      prev[f] = now[f];
+    }
+    payload.push_back(static_cast<std::uint8_t>((r.degraded ? 1 : 0) |
+                                                (r.health << 1)));
+  }
+  append_varint(payload, 9);
+  payload.push_back(0);  // delta frame
+  append_varint(payload, 2);
+  append_varint(payload, zigzag(1 - 1));  // sequence: +1 after +1
+  append_varint(payload, zigzag(static_cast<std::int64_t>(
+                             bits(2e-3) - bits(1e-3))));
+  append_varint(payload, zigzag(1500));
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& was = key.readings[i];
+    const auto& r = delta.readings[i];
+    append_varint(payload, bits(r.sensed.value()) ^ bits(was.sensed.value()));
+    append_varint(payload, bits(r.truth.value()) ^ bits(was.truth.value()));
+    append_varint(payload, bits(r.energy.value()) ^ bits(was.energy.value()));
+    const auto flags = [](const core::StackMonitor::SiteReading& s) {
+      return static_cast<std::uint64_t>((s.degraded ? 1 : 0) |
+                                        (s.health << 1));
+    };
+    append_varint(payload, flags(r) ^ flags(was));
+  }
+
+  std::vector<std::uint8_t> want = {'T', 'S', 'V', 'B'};
+  append_le(want, payload.size(), 4);
+  append_le(want, 2, 4);  // frames
+  append_le(want, 1, 4);  // stacks
+  append_le(want, bits(1e-3), 8);
+  append_le(want, bits(2e-3), 8);
+  append_le(want, 2 * (40 + 2 * 50 + 4), 8);  // two raw 2-site wire frames
+  append_le(want, 9, 4);
+  append_le(want, telemetry::crc32(want.data(), want.size()), 4);
+  want.insert(want.end(), payload.begin(), payload.end());
+  append_le(want, telemetry::crc32(payload.data(), payload.size()), 4);
+  EXPECT_EQ(sealed, want);
+}
+
 TEST(StoreBlock, RoundTripMultiStackInterleaved) {
   // Stacks interleave in arrival order, exactly as concurrent fleet workers
   // produce them; decode must reproduce every frame bit-for-bit, in order.

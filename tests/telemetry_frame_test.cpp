@@ -83,6 +83,56 @@ TEST(TelemetryFrame, Crc32MatchesByteAtATimeReference) {
   }
 }
 
+/// Append `size` bytes of `v`, least significant first: the wire's byte
+/// order, spelled out one byte at a time.
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
+               std::size_t size) {
+  for (std::size_t i = 0; i < size; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+std::uint64_t double_bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(TelemetryFrame, EncodeMatchesBytesBuiltByHandFromTheLayout) {
+  const Frame frame = sample_frame();
+  std::vector<std::uint8_t> want = {'T', 'S', 'V', 'T', 2, 0, 0, 0};
+  append_le(want, 17, 4);  // stack_id
+  append_le(want, frame.readings.size(), 4);
+  append_le(want, 0xDEADBEEF01ull, 8);
+  append_le(want, double_bits(12.5e-3), 8);
+  append_le(want, 123456789, 8);
+  for (const core::StackMonitor::SiteReading& r : frame.readings) {
+    append_le(want, r.site_index, 4);
+    append_le(want, r.die, 4);
+    append_le(want, double_bits(r.location.x), 8);
+    append_le(want, double_bits(r.location.y), 8);
+    append_le(want, double_bits(r.sensed.value()), 8);
+    append_le(want, double_bits(r.truth.value()), 8);
+    append_le(want, double_bits(r.energy.value()), 8);
+    want.push_back(r.degraded ? 1 : 0);
+    want.push_back(r.health);
+  }
+  append_le(want, reference_crc32(want.data(), want.size()), 4);
+  EXPECT_EQ(encode(frame), want);
+
+  // The byte order itself, spelled out: sequence 0xDEADBEEF01 and the
+  // sim_time 12.5e-3 = 0x3F8999999999999A.
+  const std::vector<std::uint8_t> wire = encode(frame);
+  const std::vector<std::uint8_t> sequence(wire.begin() + 16,
+                                           wire.begin() + 24);
+  EXPECT_EQ(sequence, (std::vector<std::uint8_t>{0x01, 0xEF, 0xBE, 0xAD,
+                                                 0xDE, 0, 0, 0}));
+  const std::vector<std::uint8_t> sim_time(wire.begin() + 24,
+                                           wire.begin() + 32);
+  EXPECT_EQ(sim_time, (std::vector<std::uint8_t>{0x9A, 0x99, 0x99, 0x99,
+                                                 0x99, 0x99, 0x89, 0x3F}));
+}
+
 TEST(TelemetryFrame, RoundTrip) {
   const Frame original = sample_frame();
   const std::vector<std::uint8_t> wire = encode(original);

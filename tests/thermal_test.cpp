@@ -574,9 +574,12 @@ std::size_t expect_identical_transient(ThermalNetwork& net,
   }
   EXPECT_EQ(map_mismatches, 0u);
   EXPECT_TRUE(same_bits(net.temperatures(), ref.state));
+  double hottest = -1e30;
   for (std::size_t d = 0; d < net.config().die_count(); ++d) {
     EXPECT_EQ(net.max_temperature(d).value(), ref.max_temperature(d)) << d;
+    hottest = std::max(hottest, ref.max_temperature(d));
   }
+  EXPECT_EQ(net.max_temperature().value(), hottest);
   const auto per_step = static_cast<std::size_t>(
       std::ceil(dt.value() / net.stable_substep().value()));
   return steps * per_step;
@@ -649,6 +652,40 @@ TEST(ThermalNetwork, StepMatchesTheReferenceUnderRandomPhases) {
   EXPECT_GE(expect_identical_transient(net, ref, workload, Second{0.25e-3},
                                        40'000),
             40'000u);
+}
+
+// The sliced layout groups the rows of four consecutive nodes: these stacks
+// end in a partial chunk (1, 2, 3, 5 and 35 nodes), carry rows with no edge
+// at all, and include single dies with no vertical edges.
+TEST(ThermalNetwork, StepAndSteadyStateMatchTheReferenceAtChunkEdges) {
+  struct Shape {
+    const char* name;
+    std::vector<std::pair<std::size_t, std::size_t>> dies;  // nx, ny
+  };
+  const Shape shapes[] = {
+      {"1 node", {{1, 1}}},
+      {"2 nodes, one vertical edge", {{1, 1}, {1, 1}}},
+      {"3 nodes, one die", {{3, 1}}},
+      {"5 nodes, four cells under one", {{2, 2}, {1, 1}}},
+      {"35 nodes, one die", {{5, 7}}},
+  };
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    StackConfig cfg = small_stack(shape.dies.size(), 1);
+    for (std::size_t d = 0; d < shape.dies.size(); ++d) {
+      cfg.dies[d].nx = shape.dies[d].first;
+      cfg.dies[d].ny = shape.dies[d].second;
+    }
+    Rng rng{31};
+    const Workload workload =
+        Workload::random(cfg, rng, 5, Watt{1.0}, Second{5e-3});
+    ThermalNetwork net{cfg};
+    ReferenceNetwork ref{cfg};
+    EXPECT_GE(expect_identical_transient(net, ref, workload, Second{0.25e-3},
+                                         2'000),
+              2'000u);
+    EXPECT_TRUE(same_bits(net.steady_state(), ref.steady_state()));
+  }
 }
 
 TEST(ThermalNetwork, SteadyStateMatchesTheReference) {
