@@ -14,6 +14,7 @@
 #include "core/fault_detector.hpp"
 #include "core/pt_sensor.hpp"
 #include "core/stack_monitor.hpp"
+#include "obs/metrics.hpp"
 #include "process/variation.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/codec_util.hpp"
@@ -24,6 +25,10 @@
 namespace {
 
 using namespace tsvpt;
+
+std::uint64_t model_evals() {
+  return obs::counter("tsvpt_sensor_model_evals_total").value();
+}
 
 void BM_RoFrequency(benchmark::State& state) {
   const device::Technology tech = device::Technology::tsmc65_like();
@@ -49,16 +54,49 @@ void BM_SelfCalibrate(benchmark::State& state) {
 }
 BENCHMARK(BM_SelfCalibrate);
 
+/// Model evaluations tracking reads made since `since`, table rows
+/// included, averaged over the benchmark's `reads_per_iteration` reads.
+benchmark::Counter evals_per_read(std::uint64_t since,
+                                  double reads_per_iteration) {
+  const std::uint64_t evals = model_evals() - since;
+  return benchmark::Counter(static_cast<double>(evals) / reads_per_iteration,
+                            benchmark::Counter::kAvgIterations);
+}
+
 void BM_TrackingRead(benchmark::State& state) {
   core::PtSensor sensor{core::PtSensor::Config{}, 1};
   core::DieEnvironment env;
   env.temperature = Kelvin{330.0};
   (void)sensor.self_calibrate(env, nullptr);
+  const std::uint64_t before = model_evals();
   for (auto _ : state) {
     benchmark::DoNotOptimize(sensor.read(env, nullptr));
   }
+  state.counters["evals_per_read"] = evals_per_read(before, 1.0);
 }
 BENCHMARK(BM_TrackingRead);
+
+// `tsvpt_cli mc`'s pattern: a fresh latch, then reads at 10, 50 and 90 degC.
+// The latch (a full self-calibration) runs with the timer paused, so an
+// iteration times the three reads and the table rows they fill.
+void BM_TrackingReadShortLatch(benchmark::State& state) {
+  core::PtSensor sensor{core::PtSensor::Config{}, 1};
+  core::DieEnvironment env;
+  env.vt_delta = {millivolts(10.0), millivolts(-8.0)};
+  env.temperature = to_kelvin(Celsius{30.0});
+  const std::uint64_t before = model_evals();
+  for (auto _ : state) {
+    state.PauseTiming();
+    (void)sensor.self_calibrate(env, nullptr);
+    state.ResumeTiming();
+    for (const double t : {10.0, 50.0, 90.0}) {
+      const core::DieEnvironment at = env.at_celsius(Celsius{t});
+      benchmark::DoNotOptimize(sensor.read(at, nullptr));
+    }
+  }
+  state.counters["evals_per_read"] = evals_per_read(before, 3.0);
+}
+BENCHMARK(BM_TrackingReadShortLatch);
 
 // Supply-compensated reads on F5's top-die rail (9 mV static droop, 1 mV
 // rms noise): the rail estimate moves every conversion, so each read

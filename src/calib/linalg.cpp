@@ -38,24 +38,6 @@ Matrix cholesky(const Matrix& a, double max_jitter) {
   throw std::runtime_error{"cholesky: matrix not positive definite"};
 }
 
-Vector cholesky_solve(const Matrix& l, const Vector& b) {
-  const std::size_t n = l.rows();
-  if (b.size() != n) throw std::invalid_argument{"cholesky_solve shape"};
-  Vector y(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
-    y[i] = sum / l(i, i);
-  }
-  Vector x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l(k, ii) * x[k];
-    x[ii] = sum / l(ii, ii);
-  }
-  return x;
-}
-
 Vector lu_solve(Matrix a, Vector b) {
   const std::size_t n = a.rows();
   if (a.cols() != n || b.size() != n) {

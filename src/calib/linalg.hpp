@@ -12,9 +12,6 @@ namespace tsvpt::calib {
 /// `max_jitter` * trace/n is added automatically.  Throws if that fails.
 [[nodiscard]] Matrix cholesky(const Matrix& a, double max_jitter = 1e-6);
 
-/// Solve A x = b via an existing Cholesky factor L.
-[[nodiscard]] Vector cholesky_solve(const Matrix& l, const Vector& b);
-
 /// Solve a general square system by LU with partial pivoting.
 [[nodiscard]] Vector lu_solve(Matrix a, Vector b);
 

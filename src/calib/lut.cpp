@@ -73,51 +73,4 @@ double Lut1D::quantize(unsigned bits) {
   return worst;
 }
 
-Lut2D::Lut2D(double x_lo, double x_hi, std::size_t nx, double y_lo,
-             double y_hi, std::size_t ny)
-    : x_lo_(x_lo), x_hi_(x_hi), y_lo_(y_lo), y_hi_(y_hi), nx_(nx), ny_(ny),
-      cells_(nx * ny, 0.0) {
-  if (nx_ < 2 || ny_ < 2) throw std::invalid_argument{"Lut2D needs >= 2x2"};
-  if (!(x_hi_ > x_lo_) || !(y_hi_ > y_lo_)) {
-    throw std::invalid_argument{"Lut2D needs positive ranges"};
-  }
-}
-
-double Lut2D::x_at(std::size_t i) const {
-  return x_lo_ + (x_hi_ - x_lo_) * static_cast<double>(i) /
-                     static_cast<double>(nx_ - 1);
-}
-
-double Lut2D::y_at(std::size_t j) const {
-  return y_lo_ + (y_hi_ - y_lo_) * static_cast<double>(j) /
-                     static_cast<double>(ny_ - 1);
-}
-
-double& Lut2D::cell(std::size_t i, std::size_t j) {
-  if (i >= nx_ || j >= ny_) throw std::out_of_range{"Lut2D::cell"};
-  return cells_[i * ny_ + j];
-}
-
-double Lut2D::cell(std::size_t i, std::size_t j) const {
-  if (i >= nx_ || j >= ny_) throw std::out_of_range{"Lut2D::cell"};
-  return cells_[i * ny_ + j];
-}
-
-double Lut2D::operator()(double x, double y) const {
-  const double sx = (x - x_lo_) / (x_hi_ - x_lo_) * static_cast<double>(nx_ - 1);
-  const double sy = (y - y_lo_) / (y_hi_ - y_lo_) * static_cast<double>(ny_ - 1);
-  const double cx = std::clamp(sx, 0.0, static_cast<double>(nx_ - 1));
-  const double cy = std::clamp(sy, 0.0, static_cast<double>(ny_ - 1));
-  const auto i = std::min(static_cast<std::size_t>(cx), nx_ - 2);
-  const auto j = std::min(static_cast<std::size_t>(cy), ny_ - 2);
-  const double fx = cx - static_cast<double>(i);
-  const double fy = cy - static_cast<double>(j);
-  const double z00 = cell(i, j);
-  const double z10 = cell(i + 1, j);
-  const double z01 = cell(i, j + 1);
-  const double z11 = cell(i + 1, j + 1);
-  return z00 * (1 - fx) * (1 - fy) + z10 * fx * (1 - fy) +
-         z01 * (1 - fx) * fy + z11 * fx * fy;
-}
-
 }  // namespace tsvpt::calib

@@ -1,9 +1,12 @@
 // Lookup tables with interpolation — the hardware-realistic calibration
 // store.  A silicon implementation keeps its calibration as a small LUT in
-// fuses or SRAM; these classes model exactly that (including an optional
-// fixed-point quantization of stored values).
+// fuses or SRAM; the table and the lookups here model exactly that
+// (including an optional fixed-point quantization of stored values).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -32,6 +35,40 @@ template <class Value>
     }
   }
   return lo;
+}
+
+/// x at `target` by inverse Lagrange interpolation of x(y) through the six
+/// points (x[k], y[k]), exact where x is a polynomial of degree <= 5 in y,
+/// kept inside [x[segment], x[segment + 1]]: the segment whose y values
+/// bracket `target`.  Where the interpolant is not finite or leaves that
+/// segment (tied or non-monotone y), the segment's linear inverse, clamped
+/// to the segment, stands in; a tied segment returns x[segment].  The sum
+/// runs over offsets from x[segment], so a wide x range costs no precision.
+/// Plain arithmetic on the caller's arrays: never allocates.
+[[nodiscard]] inline double interpolate_inverse(const std::array<double, 6>& x,
+                                                const std::array<double, 6>& y,
+                                                std::size_t segment,
+                                                double target) {
+  const double x0 = x[segment];
+  const double x1 = x[segment + 1];
+  double offset = 0.0;
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    double num = 1.0;
+    double den = 1.0;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      if (j == k) continue;
+      num *= target - y[j];
+      den *= y[k] - y[j];
+    }
+    offset += (x[k] - x0) * (num / den);
+  }
+  const double lo = std::min(x0, x1);
+  const double hi = std::max(x0, x1);
+  const double t = x0 + offset;
+  if (t >= lo && t <= hi) return t;  // false for NaN
+  const double linear =
+      x0 + (target - y[segment]) / (y[segment + 1] - y[segment]) * (x1 - x0);
+  return std::isnan(linear) ? x0 : std::clamp(linear, lo, hi);
 }
 
 /// 1-D table y = f(x) over a uniform x grid with linear interpolation.
@@ -94,33 +131,6 @@ class Lut1D {
   std::vector<double> values_;
   bool monotone_ = false;
   bool increasing_ = false;
-};
-
-/// 2-D table z = f(x, y) on a uniform grid with bilinear interpolation;
-/// out-of-range queries clamp to the grid edge.
-class Lut2D {
- public:
-  Lut2D(double x_lo, double x_hi, std::size_t nx, double y_lo, double y_hi,
-        std::size_t ny);
-
-  [[nodiscard]] std::size_t nx() const { return nx_; }
-  [[nodiscard]] std::size_t ny() const { return ny_; }
-  [[nodiscard]] double x_at(std::size_t i) const;
-  [[nodiscard]] double y_at(std::size_t j) const;
-
-  [[nodiscard]] double& cell(std::size_t i, std::size_t j);
-  [[nodiscard]] double cell(std::size_t i, std::size_t j) const;
-
-  [[nodiscard]] double operator()(double x, double y) const;
-
- private:
-  double x_lo_;
-  double x_hi_;
-  double y_lo_;
-  double y_hi_;
-  std::size_t nx_;
-  std::size_t ny_;
-  std::vector<double> cells_;
 };
 
 }  // namespace tsvpt::calib

@@ -1,5 +1,7 @@
 #include "core/pt_sensor.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -25,8 +27,9 @@ std::array<circuit::RingOscillator, kRoCount> build_bank(
                                cfg.stdro_stages)};
 }
 
-/// A tracking solve returns once its predicted error is below this (kelvin);
-/// the full-box Brent search it replaced was good to ~1e-7 K.
+/// A compensated tracking solve returns once its predicted error is below
+/// this (kelvin); the full-box Brent search it replaced was good to ~1e-7 K.
+/// Uncompensated reads interpolate the table instead and never solve.
 constexpr double kTrackingErrorK = 1e-8;
 /// Bisection alone closes the full box below kTrackingErrorK in ~34 steps.
 constexpr int kTrackingMaxSteps = 64;
@@ -39,22 +42,24 @@ const obs::Counter& model_evals_total() {
   return c;
 }
 
-/// A point of the tracking residual ln F_TDRO(T) - ln f_meas (T in kelvin).
+/// A point of a compensated read's residual ln F_TDRO(T, vdd_hat) -
+/// ln f_meas (T in kelvin).
 struct Probe {
   double t;
   double g;
 };
 
-/// Root of `residual` in [lo, hi], whose residuals differ in sign or are
-/// zero.  Secant steps through the two newest probes, starting from the end
-/// nearer the root; a step that would leave the bracket bisects it instead,
-/// so the result never leaves [lo, hi].  Once three probes exist, the
-/// secant's error model |g''/2g'| |t - x_n| |t - x_n-1|, with the curvature
-/// taken from the last two secant slopes, predicts how far the next point
-/// lies from the root; the solve returns that point unevaluated as soon as
-/// the prediction drops below kTrackingErrorK.  Inside a table segment that
-/// takes two evaluations; from a segment end to a box end, three or four.
-/// One division per step: the slopes are kept inverted (dt/dg).
+/// Root of a compensated read's `residual` in [lo, hi], whose residuals
+/// differ in sign or are zero.  Secant steps through the two newest probes,
+/// starting from the end nearer the root; a step that would leave the
+/// bracket bisects it instead, so the result never leaves [lo, hi].  Once
+/// three probes exist, the secant's error model |g''/2g'| |t - x_n|
+/// |t - x_n-1|, with the curvature taken from the last two secant slopes,
+/// predicts how far the next point lies from the root; the solve returns
+/// that point unevaluated as soon as the prediction drops below
+/// kTrackingErrorK.  Inside a table segment that takes two evaluations;
+/// from a segment end to a box end, three or four.  One division per step:
+/// the slopes are kept inverted (dt/dg).
 template <class Residual>
 double solve_in_bracket(Residual&& residual, Probe lo, Probe hi) {
   if (lo.g == 0.0) return lo.t;
@@ -240,7 +245,8 @@ double PtSensor::ln_tdro(double t_kelvin, Volt vdd) const {
 
 // hot(alloc,lock,io): every tracking read of every site runs through here.
 // The TDRO table is a fixed array filled in place, so a conversion never
-// allocates; the solve itself is plain arithmetic on stack probes.
+// allocates; the interpolation and the compensated solve are plain
+// arithmetic on stack arrays and probes.
 TemperatureReading PtSensor::track(const DieEnvironment& env, Rng* noise) {
   circuit::ConversionEnergyModel energy{config_.energy};
   energy.reset();
@@ -260,10 +266,6 @@ TemperatureReading PtSensor::track(const DieEnvironment& env, Rng* noise) {
   }
   const double target = std::log(r_t.measured.value());
   std::uint64_t evals = 0;
-  const auto residual = [&](double t_kelvin) {
-    ++evals;
-    return ln_tdro(t_kelvin, vdd_hat) - target;
-  };
 
   // Row i of the table sits at row_t(i); it is evaluated the first time a
   // read asks for it.  The rows hold the model at model_vdd, exact for an
@@ -285,66 +287,75 @@ TemperatureReading PtSensor::track(const DieEnvironment& env, Rng* noise) {
     }
     return tdro_rows_[i];
   };
-  const auto probe = [&](std::size_t i) {
-    const double t = row_t(i);
-    return Probe{t, config_.compensate_supply ? residual(t) : row(i) - target};
-  };
 
   // Bracket the root: the segment whose rows straddle the count, or, for a
   // count beyond the end rows, the end segment nearer it.
   const double first = row(0);
   const double last = row(kLast);
+  const bool in_range = (target - first) * (target - last) <= 0.0;
   std::size_t i = 0;
-  if ((target - first) * (target - last) <= 0.0) {
+  if (in_range) {
     i = calib::bisect_segment(kTdroTableRows, target, last > first, row);
   } else if (std::abs(target - last) < std::abs(target - first)) {
     i = kLast - 1;
   }
-  Probe lo = probe(i);
-  Probe hi = probe(i + 1);
-  // No sign change: the root lies beyond the end with the smaller residual
-  // (a count outside the table, or a compensated read whose rail estimate
-  // moved the root off its segment).  Keep that end and widen to the box
-  // end on its side.
-  const bool root_below = std::abs(lo.g) < std::abs(hi.g);
-  if (lo.g * hi.g > 0.0) {
-    if (root_below && i > 0) {
-      hi = lo;
-      lo = probe(0);
-    } else if (!root_below && i + 1 < kLast) {
-      lo = hi;
-      hi = probe(kLast);
-    }
-  }
 
   double t_solved;
-  if (lo.g * hi.g > 0.0) {
-    // Out-of-range frequency: clamp to the nearer box end and flag it.
-    t_solved = root_below ? t_lo : t_hi;
-    out.degraded = true;
+  if (!config_.compensate_supply) {
+    if (in_range) {
+      // Interpolate T(ln f) through the six rows around the segment (two
+      // below it, two above, shifted inward at the table ends).
+      constexpr std::size_t kWindow = 6;
+      const std::size_t s =
+          std::min(i < 2 ? std::size_t{0} : i - 2, kTdroTableRows - kWindow);
+      std::array<double, kWindow> ts{};
+      std::array<double, kWindow> lns{};
+      for (std::size_t k = 0; k < kWindow; ++k) {
+        ts[k] = row_t(s + k);
+        lns[k] = row(s + k);
+      }
+      t_solved = calib::interpolate_inverse(ts, lns, i - s, target);
+    } else {
+      // Out-of-range frequency: clamp to the nearer box end and flag it.
+      t_solved = i == 0 ? t_lo : t_hi;
+      out.degraded = true;
+    }
   } else {
-    t_solved = solve_in_bracket(residual, lo, hi);
+    const auto residual = [&](double t_kelvin) {
+      ++evals;
+      return ln_tdro(t_kelvin, vdd_hat) - target;
+    };
+    const auto probe = [&](std::size_t row_index) {
+      const double t = row_t(row_index);
+      return Probe{t, residual(t)};
+    };
+    Probe lo = probe(i);
+    Probe hi = probe(i + 1);
+    // No sign change: the root lies beyond the end with the smaller
+    // residual (a count outside the table, or a rail estimate that moved
+    // the root off its segment).  Keep that end and widen to the box end
+    // on its side.
+    const bool root_below = std::abs(lo.g) < std::abs(hi.g);
+    if (lo.g * hi.g > 0.0) {
+      if (root_below && i > 0) {
+        hi = lo;
+        lo = probe(0);
+      } else if (!root_below && i + 1 < kLast) {
+        lo = hi;
+        hi = probe(kLast);
+      }
+    }
+    if (lo.g * hi.g > 0.0) {
+      // Out-of-range frequency: clamp to the nearer box end and flag it.
+      t_solved = root_below ? t_lo : t_hi;
+      out.degraded = true;
+    } else {
+      t_solved = solve_in_bracket(residual, lo, hi);
+    }
   }
   model_evals_total().add(evals);
   out.temperature = to_celsius(Kelvin{t_solved});
   out.energy = energy.finish().total();
-  return out;
-}
-
-TemperatureReading PtSensor::read_averaged(const DieEnvironment& env,
-                                           std::size_t samples, Rng* noise) {
-  if (samples == 0) {
-    throw std::invalid_argument{"read_averaged: zero samples"};
-  }
-  TemperatureReading out;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < samples; ++i) {
-    const TemperatureReading one = read(env, noise);
-    acc += one.temperature.value();
-    out.energy += one.energy;
-    out.degraded = out.degraded || one.degraded;
-  }
-  out.temperature = Celsius{acc / static_cast<double>(samples)};
   return out;
 }
 

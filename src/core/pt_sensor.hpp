@@ -20,9 +20,13 @@
 // conversions count only the TDRO and invert its model 1-D for T using the
 // latched process point.  Each read bisects a per-latch table of ln f_TDRO
 // over the solver box for the one segment whose values bracket its count and
-// solves inside it, so a read costs ~2 model evaluations, not a box search.
-// Table rows are evaluated the first time a bisection visits them: a latch
-// that serves few reads pays for few rows.
+// interpolates T(ln f) through the six rows around it, as on-chip logic
+// holding a stored table would: within 1e-6 K of the model's root over the
+// whole box (worst 2.1e-7 K), and a read on filled rows makes no model
+// evaluation.  Table rows are evaluated the first time a read visits them:
+// a latch that serves few reads pays for few rows.  A supply-compensated
+// read evaluates the model at its own rail estimate instead, so it confirms
+// the segment there and solves inside it.
 //
 // Error sources faithfully modeled: within-macro mismatch between the
 // oscillators (each instance draws a fixed per-RO Vt offset), counter
@@ -145,12 +149,6 @@ class PtSensor final : public TemperatureSensor {
   [[nodiscard]] TemperatureReading read(const DieEnvironment& env,
                                         Rng* noise) override;
 
-  /// Average of `samples` back-to-back tracking conversions: quantization
-  /// and rail noise shrink as 1/sqrt(N) at N-times the energy and latency.
-  [[nodiscard]] TemperatureReading read_averaged(const DieEnvironment& env,
-                                                 std::size_t samples,
-                                                 Rng* noise);
-
   /// The macro's true per-RO mismatch (test introspection only — the chip
   /// itself never knows these).
   [[nodiscard]] const std::array<device::VtDelta, kRoCount>& mismatch() const {
@@ -202,8 +200,9 @@ class PtSensor final : public TemperatureSensor {
                                          Rng* noise);
 
   /// Rows of the per-latch TDRO table, one bit each in tdro_filled_: 2.9 K
-  /// segments over the default -40..140 degC box, short enough that two
-  /// model evaluations bring a read within 1e-8 K of its root.
+  /// segments over the default -40..140 degC box, short enough that a
+  /// quintic through six rows brings an uncompensated read within 1e-6 K of
+  /// its root (a cubic through four: 2.6e-5 K).
   static constexpr std::size_t kTdroTableRows = 64;
 
   Config config_;
@@ -217,10 +216,10 @@ class PtSensor final : public TemperatureSensor {
   /// ln f_TDRO at model_vdd and the latched process point on
   /// kTdroTableRows evenly spaced temperatures from t_min to t_max.  Row i
   /// holds a value once bit i of tdro_filled_ is set: a tracking read
-  /// evaluates the rows its bisection visits, so the table costs a latch at
-  /// most kTdroTableRows evaluations and a short latch only the few it
-  /// reaches.  Every latch empties it (after clear_calibration() the next
-  /// read latches afresh).
+  /// evaluates the rows its bisection and its six-row window visit, so the
+  /// table costs a latch at most kTdroTableRows evaluations and a short
+  /// latch only the few it reaches.  Every latch empties it (after
+  /// clear_calibration() the next read latches afresh).
   std::array<double, kTdroTableRows> tdro_rows_{};
   std::uint64_t tdro_filled_ = 0;
   static_assert(kTdroTableRows <= 64, "one tdro_filled_ bit per row");

@@ -1,8 +1,8 @@
-// Heap allocations on the shard ingest path, in fleet construction and in
-// the thermal substep, counted (calls and bytes) by replacing the global
-// operator new.  The replacement applies to a whole program, so these tests
-// are an executable of their own: in the main suite it would hide
-// new/delete mismatches from the sanitizer jobs.
+// Heap allocations on the shard ingest path, in fleet construction, in the
+// thermal substep and in tracking reads, counted (calls and bytes) by
+// replacing the global operator new.  The replacement applies to a whole
+// program, so these tests are an executable of their own: in the main
+// suite it would hide new/delete mismatches from the sanitizer jobs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,9 @@
 
 #include "control/controller.hpp"
 #include "control/stack_loop.hpp"
+#include "circuit/supply.hpp"
 #include "core/fault_detector.hpp"
+#include "core/pt_sensor.hpp"
 #include "core/stack_monitor.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/fleet_sampler.hpp"
@@ -208,6 +210,39 @@ TEST(AllocationCount, WarmedSubstepsAllocateNothing) {
     if (controlled) {
       EXPECT_GE(controller.actuation_changes() - changes, 10u);
     }
+  }
+}
+
+TEST(AllocationCount, TrackingReadsAllocateNothing) {
+  // Both supply modes, on a noisy drooping rail, from a fresh latch (the
+  // first pass fills the table rows its reads visit) through a filled
+  // table, counts past both box ends included.  Self-calibration allocates
+  // and is left out; one read before the count creates the metric handles
+  // a conversion adds to.
+  for (const bool compensated : {false, true}) {
+    core::PtSensor::Config cfg;
+    cfg.compensate_supply = compensated;
+    core::PtSensor sensor{cfg, 9};
+    core::DieEnvironment env;
+    env.vt_delta = {millivolts(12.0), millivolts(-7.0)};
+    env.supply = circuit::SupplyRail{{Volt{1.0}, Volt{9e-3}, Volt{1e-3}}};
+    Rng noise{3};
+    const core::DieEnvironment power_on = env.at_celsius(Celsius{30.0});
+    (void)sensor.self_calibrate(power_on, &noise);
+    (void)sensor.read(power_on, &noise);
+    (void)sensor.self_calibrate(power_on, &noise);
+    std::size_t reads = 0;
+    std::size_t made = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (double t = -45.0; t <= 145.0; t += 0.5, ++reads) {
+        const core::DieEnvironment at = env.at_celsius(Celsius{t});
+        const std::size_t before = allocations();
+        (void)sensor.read(at, &noise);
+        made += allocations() - before;
+      }
+    }
+    EXPECT_EQ(reads, 762u);
+    EXPECT_EQ(made, 0u) << (compensated ? "compensated" : "uncompensated");
   }
 }
 

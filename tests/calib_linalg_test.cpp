@@ -28,16 +28,6 @@ TEST(Cholesky, FactorReconstructs) {
   EXPECT_LT((rebuilt - a).norm(), 1e-9 * a.norm());
 }
 
-TEST(Cholesky, SolveMatchesDirect) {
-  Rng rng{2};
-  const Matrix a = random_spd(5, rng);
-  Vector x_true(5);
-  for (double& v : x_true) v = rng.gaussian();
-  const Vector b = a * x_true;
-  const Vector x = cholesky_solve(cholesky(a), b);
-  for (std::size_t i = 0; i < 5; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-8);
-}
-
 TEST(Cholesky, JitterHandlesSemiDefinite) {
   // Rank-deficient: two identical correlation rows.
   Matrix a{{1.0, 1.0}, {1.0, 1.0}};

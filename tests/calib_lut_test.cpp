@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -183,6 +185,135 @@ TEST(Lut1D, BisectSegmentStraddlesAndVisitsLogRows) {
   }
 }
 
+/// Six x values one 180/63 K row apart, as the sensor's TDRO table spaces
+/// its rows (the kelvin values of -40..-25.7 degC).
+std::array<double, 6> row_temperatures(double first) {
+  std::array<double, 6> x{};
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    x[k] = first + static_cast<double>(k) * (180.0 / 63.0);
+  }
+  return x;
+}
+
+TEST(Lut1D, InterpolateInverseIsExactAtTheNodes) {
+  const std::array<double, 6> x = row_temperatures(233.15);
+  std::array<double, 6> y{};
+  for (std::size_t k = 0; k < y.size(); ++k) {
+    y[k] = 20.0 - 0.004 * x[k] + 1e-6 * x[k] * x[k];
+  }
+  for (std::size_t m = 0; m < x.size(); ++m) {
+    // Node m closes segment m - 1 and opens segment m.
+    if (m > 0) {
+      EXPECT_EQ(interpolate_inverse(x, y, m - 1, y[m]), x[m]) << m;
+    }
+    if (m < 5) {
+      EXPECT_EQ(interpolate_inverse(x, y, m, y[m]), x[m]) << m;
+    }
+  }
+}
+
+TEST(Lut1D, InterpolateInverseReproducesQuintics) {
+  // x(y) of degree 5 with positive coefficients: increasing for y >= 0.
+  const auto quintic = [](double y) {
+    return 1.0 + y * (2.0 + y * (0.3 + y * (0.05 + y * (0.01 + y * 0.002))));
+  };
+  for (const bool rising : {true, false}) {
+    // Unevenly spaced nodes, in both orders.
+    std::array<double, 6> y{0.0, 0.9, 2.1, 3.0, 4.2, 5.0};
+    if (!rising) std::reverse(y.begin(), y.end());
+    std::array<double, 6> x{};
+    for (std::size_t k = 0; k < y.size(); ++k) x[k] = quintic(y[k]);
+    for (std::size_t seg = 0; seg < 5; ++seg) {
+      for (double f = 0.0; f <= 1.0; f += 0.125) {
+        const double target = y[seg] + f * (y[seg + 1] - y[seg]);
+        EXPECT_NEAR(interpolate_inverse(x, y, seg, target), quintic(target),
+                    1e-12 * quintic(5.0))
+            << rising << " " << seg << " " << f;
+      }
+    }
+  }
+}
+
+TEST(Lut1D, InterpolateInverseOnTheWindowsAtBothTableEnds) {
+  // A 64-row table of y = ln x, read the way the sensor reads it: the six
+  // rows around segment i, shifted inward at the ends.  Every segment,
+  // the three at each end included, inverts to exp(y).
+  constexpr std::size_t kRows = 64;
+  const auto x_at = [](std::size_t i) {
+    return 233.15 + static_cast<double>(i) * (180.0 / 63.0);
+  };
+  for (std::size_t i = 0; i + 1 < kRows; ++i) {
+    const std::size_t s = std::min(i < 2 ? std::size_t{0} : i - 2, kRows - 6);
+    std::array<double, 6> x{};
+    std::array<double, 6> y{};
+    for (std::size_t k = 0; k < 6; ++k) {
+      x[k] = x_at(s + k);
+      y[k] = std::log(x[k]);
+    }
+    const std::size_t seg = i - s;
+    for (double f = 0.0; f <= 1.0; f += 0.1) {
+      const double target = y[seg] + f * (y[seg + 1] - y[seg]);
+      const double t = interpolate_inverse(x, y, seg, target);
+      EXPECT_NEAR(t, std::exp(target), 1e-9) << i << " " << f;
+      EXPECT_GE(t, x[seg]) << i;
+      EXPECT_LE(t, x[seg + 1]) << i;
+    }
+  }
+}
+
+TEST(Lut1D, InterpolateInverseStaysInsideTiedOrNonMonotoneSegments) {
+  const std::array<double, 6> x = row_temperatures(233.15);
+  const auto inside = [&](const std::array<double, 6>& y, std::size_t seg,
+                          double target) {
+    const double t = interpolate_inverse(x, y, seg, target);
+    EXPECT_TRUE(std::isfinite(t)) << seg << " " << target;
+    EXPECT_GE(t, x[seg]) << seg << " " << target;
+    EXPECT_LE(t, x[seg + 1]) << seg << " " << target;
+    return t;
+  };
+  // A tied segment: every x in it is a root; the lower end is returned.
+  const std::array<double, 6> tied_segment{0.0, 1.0, 2.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(inside(tied_segment, 2, 2.0), x[2]);
+  // A tie elsewhere in the window makes the interpolant divide by zero:
+  // the segment's linear inverse stands in.
+  const std::array<double, 6> tied_window{0.0, 1.0, 2.0, 3.0, 3.0, 4.0};
+  EXPECT_DOUBLE_EQ(inside(tied_window, 0, 0.25),
+                   x[0] + 0.25 * (x[1] - x[0]));
+  // Non-monotone rows: whatever the interpolant does, the result stays in
+  // the bracketing segment, whichever way the segment runs.
+  const std::array<double, 6> wavy{0.0, 5.0, 1.0, 6.0, 2.0, 7.0};
+  for (std::size_t seg = 0; seg < 5; ++seg) {
+    const double a = wavy[seg];
+    const double b = wavy[seg + 1];
+    for (double f = 0.0; f <= 1.0; f += 0.05) {
+      (void)inside(wavy, seg, a + f * (b - a));
+    }
+  }
+}
+
+TEST(Lut1D, InterpolateInverseFallsBackToTheLinearInverseNotASegmentEnd) {
+  // Where the interpolant is finite but overshoots the bracketing segment,
+  // the result is the segment's linear inverse, strictly inside it, not
+  // the interpolant clamped to the nearer end.  Rising but unevenly spaced
+  // rows (two nearly tied) overshoot below the first segment and above the
+  // last; wavy rows overshoot a falling segment.
+  const std::array<double, 6> x = row_temperatures(233.15);
+  const std::array<double, 6> uneven{0.0, 1.0, 1.2, 3.0, 4.0, 5.0};
+  const std::array<double, 6> wavy{0.0, 5.0, 1.0, 6.0, 2.0, 7.0};
+  const auto midpoint = [](const std::array<double, 6>& y, std::size_t seg) {
+    return 0.5 * (y[seg] + y[seg + 1]);
+  };
+  const double linear_first = 0.5 * (x[0] + x[1]);
+  const double linear_last = 0.5 * (x[4] + x[5]);
+  const double linear_falling = 0.5 * (x[1] + x[2]);
+  EXPECT_DOUBLE_EQ(interpolate_inverse(x, uneven, 0, midpoint(uneven, 0)),
+                   linear_first);
+  EXPECT_DOUBLE_EQ(interpolate_inverse(x, uneven, 4, midpoint(uneven, 4)),
+                   linear_last);
+  EXPECT_DOUBLE_EQ(interpolate_inverse(x, wavy, 1, midpoint(wavy, 1)),
+                   linear_falling);
+}
+
 TEST(Lut1D, QuantizeBoundsError) {
   std::vector<double> values;
   for (int i = 0; i <= 32; ++i) values.push_back(static_cast<double>(i));
@@ -191,54 +322,6 @@ TEST(Lut1D, QuantizeBoundsError) {
   // 8-bit over a span of 32: LSB = 32/255, worst rounding error <= LSB/2.
   EXPECT_LE(worst, 0.5 * 32.0 / 255.0 + 1e-12);
   EXPECT_THROW((void)lut.quantize(0), std::invalid_argument);
-}
-
-TEST(Lut2D, BilinearExactAtCorners) {
-  Lut2D lut{0.0, 1.0, 2, 0.0, 1.0, 2};
-  lut.cell(0, 0) = 1.0;
-  lut.cell(1, 0) = 2.0;
-  lut.cell(0, 1) = 3.0;
-  lut.cell(1, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(lut(0.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(lut(1.0, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(lut(0.0, 1.0), 3.0);
-  EXPECT_DOUBLE_EQ(lut(1.0, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(lut(0.5, 0.5), 2.5);
-}
-
-TEST(Lut2D, ClampsOutsideDomain) {
-  Lut2D lut{0.0, 1.0, 2, 0.0, 1.0, 2};
-  lut.cell(0, 0) = 1.0;
-  lut.cell(1, 0) = 2.0;
-  lut.cell(0, 1) = 3.0;
-  lut.cell(1, 1) = 4.0;
-  EXPECT_DOUBLE_EQ(lut(-5.0, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(lut(5.0, 5.0), 4.0);
-}
-
-TEST(Lut2D, ReproducesBilinearFunction) {
-  Lut2D lut{0.0, 2.0, 5, -1.0, 1.0, 5};
-  auto f = [](double x, double y) { return 2.0 + 3.0 * x - y + 0.5 * x * y; };
-  for (std::size_t i = 0; i < lut.nx(); ++i) {
-    for (std::size_t j = 0; j < lut.ny(); ++j) {
-      lut.cell(i, j) = f(lut.x_at(i), lut.y_at(j));
-    }
-  }
-  for (double x = 0.0; x <= 2.0; x += 0.13) {
-    for (double y = -1.0; y <= 1.0; y += 0.17) {
-      EXPECT_NEAR(lut(x, y), f(x, y), 1e-9);
-    }
-  }
-}
-
-TEST(Lut2D, RejectsBadConstruction) {
-  EXPECT_THROW((Lut2D{0.0, 1.0, 1, 0.0, 1.0, 2}), std::invalid_argument);
-  EXPECT_THROW((Lut2D{1.0, 0.0, 2, 0.0, 1.0, 2}), std::invalid_argument);
-}
-
-TEST(Lut2D, CellBoundsChecked) {
-  Lut2D lut{0.0, 1.0, 2, 0.0, 1.0, 2};
-  EXPECT_THROW((void)lut.cell(2, 0), std::out_of_range);
 }
 
 }  // namespace

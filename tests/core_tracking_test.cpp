@@ -1,9 +1,12 @@
 // Tracking conversion held to a full-box Brent reference.
 //
-// A tracking read counts the TDRO and solves the latched model inside one
-// segment of a per-latch table whose rows are evaluated the first time a
-// read's bisection visits them.  These tests compare every read with what a
-// full-box calib::brent_root inversion of the same count returns.  The count
+// A tracking read counts the TDRO and bisects a per-latch table of the
+// latched model, whose rows are evaluated the first time a read visits
+// them, for the segment that brackets its count.  An uncompensated read
+// then interpolates T(ln f) through the six rows around that segment; a
+// supply-compensated read solves inside it at its rail estimate.  These
+// tests compare every read with what a full-box calib::brent_root
+// inversion of the same count returns.  The count
 // is recovered from the reading itself: the counter reports whole counts
 // over its nominal window, so the model frequency at a reading that lies
 // within ~0.05 K of its root rounds back to exactly the count the sensor
@@ -13,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -181,11 +185,10 @@ TEST(PtSensorTracking, MatchesFullBoxBrentOverTheF4Sweep) {
   EXPECT_EQ(s.reads, 40u * 22u);
   // At least as close to the root as the Brent call it replaces...
   EXPECT_LE(s.worst_read_k, s.worst_brent_k);
-  // ...for at most two model evaluations per in-range read on a filled
-  // table...
-  EXPECT_LE(s.max_evals, 2u);
+  // ...for no model evaluation at all on a filled table...
+  EXPECT_EQ(s.max_evals, 0u);
   // ...and, filling them, no more than a full table's worth for a die's
-  // first eleven reads (58 here), where eleven full-box Brent searches
+  // first eleven reads (46 here), where eleven full-box Brent searches
   // made 84.
   EXPECT_LE(s.max_first_pass_evals, 64u);
 }
@@ -205,20 +208,77 @@ TEST(PtSensorTracking, ShortLatchesPayOnlyForTheRowsTheyVisit) {
   (void)check_read(sensor, at(50.0), rng);
   (void)check_read(sensor, at(90.0), rng);
   const std::uint64_t three = model_evals() - before;
-  // Two end rows, six bisection rows and two solver steps: a latch that
-  // serves one read pays 10 where a full-box Brent search paid 7.6...
+  // A read fills the rows it visits: the bisection's rows and the six-row
+  // window around its segment.  The window holds the segment's two ends
+  // and an end of the bracket the bisection halved last, so it adds at
+  // most three rows.
+  // The reads land in segments 17, 31 and 45 of the 63:
+  //   10 degC: end rows 0 and 63, bisection 31 15 23 19 17 18, window
+  //            15..20 adds 16 and 20: 2 + 6 + 2 = 10, where a full-box
+  //            Brent search paid 7.6...
   EXPECT_LE(first, 10u);
-  // ...and by its third read no more than three searches' 22.8.
-  EXPECT_LE(three, 22u);
+  //   50 degC: bisection 31 47 39 35 33 32 (31 filled), window 29..34 adds
+  //            29 30 34: 5 + 3 = 8;
+  //   90 degC: bisection 31 47 39 43 45 46 (three filled), window 43..48
+  //            adds 44 and 48: 3 + 2 = 5.
+  // ...so three reads fill 23 rows, next to three searches' 22.8.
+  EXPECT_LE(three, 23u);
 
-  // However many reads a latch serves, it fills each row at most once.
+  // However many reads a latch serves, it fills each row at most once, and
+  // an uncompensated read makes no evaluation beyond its rows.
   (void)sensor.self_calibrate(at(30.0), &rng);
   before = model_evals();
-  std::uint64_t reads = 0;
-  for (double t = -39.0; t < 140.0; t += 0.5, ++reads) {
+  for (double t = -39.0; t < 140.0; t += 0.5) {
     (void)sensor.read(at(t), &rng);
   }
-  EXPECT_LE(model_evals() - before, 64u + 2u * reads);
+  EXPECT_LE(model_evals() - before, 64u);
+}
+
+TEST(PtSensorTracking, WithinAMicrokelvinOfTheRootOverTheWholeBox) {
+  // 400 latches anywhere in the +-80 mV solver box, each read every 3 K
+  // across -40..140 degC from a random start, so the reads reach every
+  // table segment, the three at each end included.  Every in-range read
+  // lands within 1e-6 K of the exact root of its count.
+  obs::Registry::instance().set_enabled(true);
+  const PtSensor::Config cfg;
+  const double t_lo = to_kelvin(cfg.t_min).value();
+  const double t_hi = to_kelvin(cfg.t_max).value();
+  constexpr std::size_t kSegments = 63;
+  const double step = (t_hi - t_lo) / static_cast<double>(kSegments);
+  std::array<std::uint64_t, kSegments> per_segment{};
+  Rng rng{97};
+  for (std::uint64_t latch = 0; latch < 400; ++latch) {
+    const double dvtn = rng.uniform(-80.0, 80.0);
+    const double dvtp = rng.uniform(-80.0, 80.0);
+    const auto at = [&](double t) {
+      return environment(t, dvtn, dvtp, Volt{1.0});
+    };
+    PtSensor sensor{cfg, derive_seed(2000, latch)};
+    (void)sensor.self_calibrate(at(rng.uniform(-40.0, 140.0)), &rng);
+    for (double t = cfg.t_min.value() + rng.uniform(0.0, 3.0);
+         t <= cfg.t_max.value(); t += 3.0) {
+      const TemperatureReading reading = sensor.read(at(t), &rng);
+      if (reading.degraded) {
+        // A count beyond the box clamps to a box end.
+        EXPECT_TRUE(reading.temperature.value() == cfg.t_min.value() ||
+                    reading.temperature.value() == cfg.t_max.value())
+            << reading.temperature.value();
+        continue;
+      }
+      const double f =
+          counted_frequency(sensor, reading.temperature, cfg.model_vdd);
+      const Reference exact = brent_reference(sensor, f, cfg.model_vdd, 1e-13);
+      ASSERT_FALSE(exact.clamped);
+      EXPECT_NEAR(reading.temperature.value(), exact.t_celsius, 1e-6)
+          << latch << " " << t;
+      const double root_k = to_kelvin(Celsius{exact.t_celsius}).value();
+      const auto seg = static_cast<std::size_t>((root_k - t_lo) / step);
+      ++per_segment[std::min(seg, kSegments - 1)];
+    }
+  }
+  for (std::size_t seg = 0; seg < kSegments; ++seg) {
+    EXPECT_GT(per_segment[seg], 0u) << seg;
+  }
 }
 
 TEST(PtSensorTracking, CompensatedMatchesFullBoxBrentOverTheF4Sweep) {
